@@ -44,8 +44,8 @@ _PLAN_V = 2
 # dominated and starves reads (decode wall 4.9 → 8.7 s vs 24 actors, 6/6
 # repeats), while at the 10× fixture decode is ~70 % of flagship wall and
 # 30 actors win by ~10 % calib-normalized (37.9 → 29.9 s).  Default is
-# 0.75×CPUs, AUTO-TUNED per fixture from the previous run's measured decode
-# share (run_suite, round-4 verdict item 8); GRAFT_DECODE_ACTORS overrides.
+# 0.75×CPUs on every run (no state carried between runs);
+# GRAFT_DECODE_ACTORS overrides.
 DEC_ACTORS = int(os.environ.get(
     "GRAFT_DECODE_ACTORS",
     min(max(2, int(NUM_CPUS * 0.75)), max(1, NUM_CPUS - 1)),
@@ -374,14 +374,6 @@ def run_suite() -> dict:
 
     events_dir, queries_path = fixture_dirs(prof)
 
-    # Decode-pool auto-sizing (round-4 BASELINE.md finding: the right pool is
-    # WORKLOAD-dependent — 0.75×CPUs wins when decode is a ramp-dominated
-    # ~30 s sliver, CPUs−2 wins ~10% when decode is ~70% of flagship wall).
-    # With no GRAFT_DECODE_ACTORS set, read the previous run's measured
-    # decode share for THIS fixture (persisted next to the plan cache) and
-    # size the pool from it; first run on a fixture keeps the 0.75× default.
-    # The scaling profile never auto-tunes: its paired arms must stay at the
-    # deterministic 0.75× ratio so pool size can't differ between rounds.
     dec_actors = DEC_ACTORS
     if not prof["run_suite"] and "GRAFT_DECODE_ACTORS" not in os.environ:
         # paired scaling arms must devote the SAME fraction of their cores
@@ -390,15 +382,6 @@ def run_suite() -> dict:
         # 6 at 8 CPUs (0.75 share), handing the wide arm disproportionate
         # decode parallelism.  cpus//2 is exact at every N→4N pair.
         dec_actors = max(1, NUM_CPUS // 2)
-    share_path = os.path.join(os.path.dirname(events_dir), f"decode_share_c{NUM_CPUS}.json")
-    if "GRAFT_DECODE_ACTORS" not in os.environ and prof["run_suite"]:
-        try:
-            with open(share_path) as f:
-                prev = json.load(f)
-            if prev.get("decode_share", 0.0) > 0.5:
-                dec_actors = max(2, NUM_CPUS - 2)
-        except OSError:
-            pass
 
     # skew/balance stats: periodic job, precomputed outside the timed window
     # and CACHED on disk — the scaling rounds re-enter this process 6 times
@@ -487,11 +470,6 @@ def run_suite() -> dict:
     rows_per_s = n_rows / flagship_s
     decode_wall = stage_times.get("decode_wall_s", 0.0)
     stages = _stage_stats(stage_dir, decode_wall, flagship_s - decode_wall, NUM_CPUS)
-    if prof["run_suite"]:  # persist for next run's decode-pool auto-sizing
-        with open(share_path + ".tmp", "w") as f:
-            json.dump({"decode_share": round(decode_wall / flagship_s, 4) if flagship_s else 0.0,
-                       "pool": dec_actors, "flagship_s": round(flagship_s, 3)}, f)
-        os.replace(share_path + ".tmp", share_path)
 
     q_times: dict[str, float] = {}
     nd_times: dict[str, float] = {}
@@ -686,10 +664,13 @@ def run_scaling() -> dict:
     # ray.shutdown).  A pre-launch probe certifies a ~4 s instant, but a
     # paired round outlives the host window (observed 2026-08-19: a round
     # launched on a 0.99 probe measured 0.81 in-arm and read raw 0.732) —
-    # so a round whose WIDE arm's bracketed capacity dipped below
+    # so a round where EITHER arm's bracketed capacity dipped below
     # ``taint_cap`` is marked tainted and replaced, up to ``max_extra``
-    # replacement rounds.  Tainted rounds stay in the record; the headline
-    # median is over untainted rounds when at least one exists.
+    # replacement rounds.  Both arms, not just the wide one: load on the
+    # wide arm deflates eff = hi/(4·lo), load on the narrow arm inflates it,
+    # and a one-sided rule would keep exactly the rounds that read high.
+    # Tainted rounds stay in the record; the headline median is over
+    # untainted rounds when at least one exists.
     taint_cap = float(os.environ.get("GRAFT_SCALING_TAINT_CAP", str(round(max(min_cap - 0.07, 0.0), 3))))
     max_extra = int(os.environ.get("GRAFT_SCALING_MAX_EXTRA_ROUNDS", "2"))
 
@@ -719,13 +700,15 @@ def run_scaling() -> dict:
         lo = got[lo_cpus]["flagship_rows_per_s"]
         hi = got[hi_cpus]["flagship_rows_per_s"]
         hi_caps = _arm_caps(got[hi_cpus])
+        lo_caps = _arm_caps(got[lo_cpus])
         rec = {
             "eff": round(hi / (lo * (hi_cpus / lo_cpus)), 3),
             "rows_per_s": {str(lo_cpus): lo, str(hi_cpus): hi},
             "order": list(order),
             "gate_passed": gate_passed,
             "hi_arm_capacity": hi_caps,
-            "tainted": bool(hi_caps) and min(hi_caps) < taint_cap,
+            "lo_arm_capacity": lo_caps,
+            "tainted": any(c < taint_cap for c in hi_caps + lo_caps),
         }
         # Capacity-normalized efficiency: each arm measures its OWN no-Ray
         # kernel aggregate at its worker count (mean of the start/end
@@ -772,6 +755,7 @@ def run_scaling() -> dict:
         "per_round_gate_passed": [bool(r.get("gate_passed")) for r in rounds],
         "per_round_tainted": [bool(r.get("tainted")) for r in rounds],
         "per_round_hi_arm_capacity": [r.get("hi_arm_capacity") for r in rounds],
+        "per_round_lo_arm_capacity": [r.get("lo_arm_capacity") for r in rounds],
         "taint_cap": taint_cap,
         "value_capacity_normalized": (
             round(statistics.median(v for v in (r.get("eff_capacity") for r in good) if v), 3)
@@ -803,7 +787,7 @@ def run_scaling() -> dict:
             "rounds_gate_passed": sum(1 for r in rounds if r.get("gate_passed")),
             "rounds_tainted": sum(1 for r in rounds if r.get("tainted")),
             # gate_met: every round the headline median draws on launched
-            # after a passing probe AND kept its wide arm's bracketed
+            # after a passing probe AND kept both arms' bracketed
             # capacity above taint_cap for the whole round
             "gate_met": all(r.get("gate_passed") and not r.get("tainted") for r in good),
         },
@@ -901,7 +885,7 @@ if __name__ == "__main__":
             # full stages block — print everything on one line.
             # A second capacity calibration AFTER the run brackets the arm:
             # the parent normalizes by the mean of the two and taints any
-            # round whose wide arm lost capacity mid-flight (the failure
+            # round where either arm lost capacity mid-flight (the failure
             # mode a pre-launch probe cannot see — observed 2026-08-19:
             # a round launched on a 0.99 probe measured 0.81 in-arm).
             res["calib_parallel_end"] = calib_parallel(

@@ -5,21 +5,25 @@
       → union with as-of query points (co-partitioned, ONE shuffle)
       → entity-bucket groupby, per-bucket (entity, ts)-sort
       → monotone as-of merge emitting the PIT_FEATURE vector per query
-      → per-partition checkpointed parquet sink (lineage + watermark + rows/s)
+      → sink: a streamed Dataset (pit_features) or a per-partition
+        checkpointed parquet commit (lineage + watermark + rows/s;
+        pit_features_checkpointed)
 
 This is the Ray-native restatement of the reference's whole feature-
 extraction flow (/root/reference/extract_HRV.py:24-80 and siblings): what was
 "loop records → compute per-record stats → append to DataFrame → to_csv"
-becomes one streaming co-partitioned pass with explicit skew handling and
-resumable output.
+becomes one streaming co-partitioned pass (:func:`_pit_plan`) with explicit
+skew handling and resumable output.
 """
 
 from __future__ import annotations
 
+import json
 import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 from ray.data import Dataset
@@ -35,6 +39,11 @@ from ..stages.partition import (
 )
 from ..state.checkpoint import commit_partition, completed_buckets
 from .features import PIT_FEATURE_NAMES, make_pit_feature_fn
+
+# decode task granularity: mixed image sizes make per-batch cost vary ~16×,
+# so fine batches keep the actor pool load-balanced (coarse 1024-row tasks
+# leave the pool idle behind one slow straggler wave)
+DECODE_BATCH_SIZE = 256
 
 
 def compute_bucket_plan(
@@ -111,26 +120,23 @@ def compute_bucket_plan(
 def _make_tag_fns(salt: dict):
     """Build the (query-side, event-side) batch-tagging fns for a salt map.
 
-    Shared by the streaming and checkpointed flagship paths so BOTH get
-    identical salted bucket routing: queries hash-split into k salt groups
-    (``image_id#salt`` composite ``__skey``), events replicated into every
-    group so each salt bucket sees the full event history and per-(entity,
-    as-of) results stay exact while one hot entity's work spreads over k
-    workers."""
-    import pyarrow.compute as pc  # noqa: PLC0415
+    Salted bucket routing for :func:`_pit_plan`: queries hash-split into k
+    salt groups (``image_id#salt`` composite ``__skey``), events replicated
+    into every group so each salt bucket sees the full event history and
+    per-(entity, as-of) results stay exact while one hot entity's work
+    spreads over k workers."""
 
-    def _salt_k_per_row(id_col: pa.ChunkedArray | pa.Array) -> tuple[np.ndarray, pa.Array]:
+    def _salt_k_per_row(id_col: pa.ChunkedArray | pa.Array) -> np.ndarray:
         """Per-row salt-group count via a LUT over the batch's UNIQUE keys
         (dictionary-encode → fromiter over the dictionary only — no per-row
-        Python, same trick as partition.with_bucket).  Returns (k_per_row,
-        dict-decoded id array)."""
+        Python, same trick as partition.with_bucket)."""
         d = (id_col.combine_chunks() if isinstance(id_col, pa.ChunkedArray) else id_col).dictionary_encode()
         idx = np.asarray(d.indices)
         lut = np.fromiter(
             (salt.get(v, 1) for v in d.dictionary.to_pylist()),
             dtype=np.int64, count=len(d.dictionary),
         )
-        return lut[idx], d
+        return lut[idx]
 
     def tag_left(b: pa.Table) -> pa.Table:
         ts = b.column("as_of_ts").cast(pa.timestamp("us"))
@@ -139,7 +145,7 @@ def _make_tag_fns(salt: dict):
             skey = ids.cast(pa.string())  # Arrow column reuse — no Python rows
         else:
             ids_c = (ids.combine_chunks() if isinstance(ids, pa.ChunkedArray) else ids).cast(pa.string())
-            k, _ = _salt_k_per_row(ids)
+            k = _salt_k_per_row(ids)
             ts_i = np.asarray(ts.cast(pa.int64()).combine_chunks())
             mod = np.mod(ts_i, np.maximum(k, 1))
             salted = pc.binary_join_element_wise(
@@ -159,7 +165,7 @@ def _make_tag_fns(salt: dict):
     def tag_right(b: pa.Table) -> pa.Table:
         ids = b.column("image_id")
         if salt:
-            k, _ = _salt_k_per_row(ids)
+            k = _salt_k_per_row(ids)
             if (k > 1).any():
                 # replicate each event row into its k salt buckets: one
                 # np.repeat for rows, one modular ramp for the salt index
@@ -194,32 +200,31 @@ def _make_tag_fns(salt: dict):
     return tag_left, tag_right
 
 
-def pit_features(
+def _pit_plan(
     events_dir: str,
     queries_path: str,
-    num_buckets: int = 32,
-    detect_skew: bool = True,
-    hot_frac: float = 0.10,
-    decode_concurrency: int | tuple[int, int] = (2, 8),
-    sampen_max_n: int = 400,
-    hot_keys: list | None = None,
-    bucket_plan: dict | None = None,
-    decode_batch_size: int = 256,
-    pre_shuffle_blocks: int | None = -1,
+    num_buckets: int,
+    cfg: dict,
+    sampen_max_n: int,
+    decode_concurrency: int | tuple[int, int],
+    commit=None,
+    skip_buckets: set[int] | None = None,
     instrument=None,
     stage_times: dict | None = None,
 ) -> Dataset:
-    """Streaming Dataset of (image_id, as_of_ts, caption?, features…).
+    """The one flagship plan behind both sinks: read → decode → materialize
+    → salted tag/union → per-bucket (entity, ts)-sorted as-of merge.
 
-    ``decode_batch_size`` controls decode task granularity: mixed image
-    sizes make per-batch cost vary ~16×, so fine batches (256) keep the
-    actor pool load-balanced (coarse 1024-row tasks leave the pool idle
-    behind one slow straggler wave)."""
+    ``cfg`` is a resolved bucket plan (``{"plan", "salt"}``, see
+    :func:`compute_bucket_plan`).  With ``commit`` set, each merge task also
+    receives its bucket id and returns ``commit(bucket, tbl, merged, t0)``
+    instead of the merged table (the checkpointed sink); ``skip_buckets``
+    drops completed buckets right after bucket assignment."""
     events = read_events(events_dir)  # full schema — decode needs bytes
     # throughput path: decode + phash content check; the canonical-encoding
     # roundtrip is a test-time invariant (see stages/decode.py)
     decoded = decode_stage(events, concurrency=decode_concurrency,
-                           batch_size=decode_batch_size, verify_roundtrip=False)
+                           batch_size=DECODE_BATCH_SIZE, verify_roundtrip=False)
     decoded = decoded.select_columns(["image_id", "ts", "v"])
     # STAGE the decode phase: materialize the projected (payload-free) rows
     # before the shuffle.  The projection is ~400x smaller than the input
@@ -236,132 +241,18 @@ def pit_features(
         stage_times["decode_wall_s"] = time.time() - _t0
 
     left = ray.data.read_parquet(queries_path)
-
-    # skew stats read ONLY the key column (column-pruned scan) — they must
-    # not force a second pass through the decode stage.  Heavy entities are
-    # LPT-packed into balanced buckets (plan_buckets); the per-entity counts
-    # double as hot-key detection.  A precomputed ``hot_keys`` list skips
-    # nothing here — packing still needs counts — but is accepted for API
-    # compatibility (production runs pass stats from a periodic job).
-    if bucket_plan is not None:
-        cfg = bucket_plan
-    elif detect_skew or hot_keys is not None:
-        cfg = compute_bucket_plan(events_dir, queries_path, num_buckets, sampen_max_n)
-    else:
-        cfg = {"plan": None, "salt": {}}
-    plan, salt = cfg["plan"], cfg.get("salt", {})
     point_fn = make_pit_feature_fn(sampen_max_n)
-
-    # tag + align (see stages/asof.py): one shuffle carries both sides;
-    # salted routing shared with the checkpointed path (_make_tag_fns)
-    tag_left, tag_right = _make_tag_fns(salt)
-
+    # tag + align (see stages/asof.py): one shuffle carries both sides
+    tag_left, tag_right = _make_tag_fns(cfg.get("salt") or {})
     unioned = left.map_batches(tag_left, batch_format="pyarrow", zero_copy_batch=True).union(
         decoded.map_batches(tag_right, batch_format="pyarrow", zero_copy_batch=True)
     )
 
     def per_bucket(tbl: pa.Table) -> pa.Table:
-        merged = asof_merge_table(
-            tbl, "__skey", "__ts",
-            aggs={"__cnt": ("v", "count")},
-            left_cols=["image_id", "__ts"],
-            point_fn=point_fn,
-            point_out=PIT_FEATURE_NAMES,
-            value_cols=["v"],
-        )
-        return merged.rename_columns(
-            ["as_of_ts" if c == "__ts" else c for c in merged.column_names]
-        ).drop_columns(["__cnt"])
-
-    # ``instrument`` (observability seam): wraps the per-bucket merge fn —
-    # probes/ops use it to record per-bucket wall time without forking the
-    # pipeline; must be picklable and must not change result semantics when
-    # left None.
-    fn = instrument(per_bucket) if instrument is not None else per_bucket
-    return grouped_sorted_apply(
-        unioned, "__skey", ["__ts", SIDE_COL], fn, num_buckets,
-        explicit_map=plan,
-        pre_shuffle_blocks=(None if pre_shuffle_blocks == -1 else pre_shuffle_blocks),
-    )
-
-
-def pit_features_checkpointed(
-    events_dir: str,
-    queries_path: str,
-    out_dir: str,
-    num_buckets: int = 32,
-    detect_skew: bool = True,
-    bucket_plan: dict | None = None,
-    sampen_max_n: int = 400,
-    decode_concurrency: int | tuple[int, int] = (2, 8),
-) -> list[dict]:
-    """Same pipeline with a resumable per-partition sink.
-
-    Completed buckets (manifest present) are skipped at the partitioning
-    stage; each bucket commits data+manifest atomically from its worker.
-    Returns the manifests of THIS run (empty if everything was done).
-
-    Skew handling matches the throughput path: the cost-model bucket plan
-    (:func:`compute_bucket_plan` — LPT packing + sub-bucket query-split
-    salting) is computed on the FIRST run (or passed in), persisted in the
-    run config, and reloaded on resume/backfill — bucket assignment is
-    invariant across runs even when late fragments change the entity counts
-    the plan was derived from.  Passing a ``bucket_plan`` that differs from
-    the committed one raises, like a ``num_buckets`` mismatch.
-    """
-    from ..state.backfill import load_run_config, save_run_config
-
-    done = completed_buckets(out_dir)
-    fragments = list_fragments(events_dir)
-
-    cfg = load_run_config(out_dir)
-    if cfg is not None:
-        # resume/backfill: bucket assignment MUST match the original run
-        if cfg["num_buckets"] != num_buckets:
-            raise ValueError(
-                f"num_buckets {num_buckets} != committed run config {cfg['num_buckets']}"
-            )
-        plan = cfg.get("plan") or {}
-        salt = cfg.get("salt") or {}
-        if bucket_plan is not None and (
-            (bucket_plan.get("plan") or {}) != plan
-            or {k: int(v) for k, v in (bucket_plan.get("salt") or {}).items()} != salt
-        ):
-            raise ValueError(
-                "bucket_plan differs from the committed run config — "
-                "resume must reuse the original plan"
-            )
-        hot = cfg.get("hot_keys") or []
-    else:
-        hot = []
-        if bucket_plan is None and detect_skew:
-            bucket_plan = compute_bucket_plan(
-                events_dir, queries_path, num_buckets, sampen_max_n
-            )
-        plan = dict((bucket_plan or {}).get("plan") or {})
-        salt = {k: int(v) for k, v in ((bucket_plan or {}).get("salt") or {}).items()}
-        save_run_config(out_dir, num_buckets, hot, fragments, plan=plan, salt=salt)
-
-    events = read_events(events_dir)
-    decoded = decode_stage(
-        events, concurrency=decode_concurrency, verify_roundtrip=False
-    ).select_columns(
-        ["image_id", "ts", "v"]
-    ).materialize()  # staged decode phase — see pit_features
-    left = ray.data.read_parquet(queries_path)
-    point_fn = make_pit_feature_fn(sampen_max_n)
-    tag_left, tag_right = _make_tag_fns(salt)
-
-    unioned = left.map_batches(tag_left, batch_format="pyarrow", zero_copy_batch=True).union(
-        decoded.map_batches(tag_right, batch_format="pyarrow", zero_copy_batch=True)
-    )
-
-    def per_bucket(tbl: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc  # noqa: PLC0415
-
         t0 = time.time()
-        bucket = int(tbl.column(BUCKET_COL)[0].as_py())
-        tbl = tbl.drop_columns([BUCKET_COL])
+        if commit is not None:
+            bucket = int(tbl.column(BUCKET_COL)[0].as_py())
+            tbl = tbl.drop_columns([BUCKET_COL])
         merged = asof_merge_table(
             tbl, "__skey", "__ts",
             aggs={"__cnt": ("v", "count")},
@@ -373,23 +264,112 @@ def pit_features_checkpointed(
         merged = merged.rename_columns(
             ["as_of_ts" if c == "__ts" else c for c in merged.column_names]
         ).drop_columns(["__cnt"])
+        return merged if commit is None else commit(bucket, tbl, merged, t0)
+
+    # ``instrument`` (observability seam): wraps the per-bucket merge fn —
+    # probes/ops use it to record per-bucket wall time without forking the
+    # pipeline; must be picklable and must not change result semantics when
+    # left None.
+    fn = instrument(per_bucket) if instrument is not None else per_bucket
+    return grouped_sorted_apply(
+        unioned, "__skey", ["__ts", SIDE_COL], fn, num_buckets,
+        explicit_map=cfg.get("plan"), skip_buckets=skip_buckets,
+        keep_bucket_col=commit is not None,
+    )
+
+
+def pit_features(
+    events_dir: str,
+    queries_path: str,
+    num_buckets: int = 32,
+    decode_concurrency: int | tuple[int, int] = (2, 8),
+    sampen_max_n: int = 400,
+    bucket_plan: dict | None = None,
+    instrument=None,
+    stage_times: dict | None = None,
+) -> Dataset:
+    """Streaming Dataset of (image_id, as_of_ts, caption?, features…).
+
+    ``bucket_plan`` (from :func:`compute_bucket_plan`) is computed here when
+    not passed."""
+    if bucket_plan is None:
+        bucket_plan = compute_bucket_plan(events_dir, queries_path, num_buckets, sampen_max_n)
+    return _pit_plan(
+        events_dir, queries_path, num_buckets, bucket_plan, sampen_max_n,
+        decode_concurrency, instrument=instrument, stage_times=stage_times,
+    )
+
+
+def _saved_form(bucket_plan: dict) -> dict:
+    """A bucket plan as the run config stores it: ``{"plan", "salt"}`` with
+    int salt counts and empty maps for missing entries."""
+    return {
+        "plan": dict(bucket_plan.get("plan") or {}),
+        "salt": {k: int(v) for k, v in (bucket_plan.get("salt") or {}).items()},
+    }
+
+
+def pit_features_checkpointed(
+    events_dir: str,
+    queries_path: str,
+    out_dir: str,
+    num_buckets: int = 32,
+    bucket_plan: dict | None = None,
+    sampen_max_n: int = 400,
+    decode_concurrency: int | tuple[int, int] = (2, 8),
+) -> list[dict]:
+    """Same plan with a resumable per-partition sink.
+
+    Completed buckets (manifest present) are skipped at the partitioning
+    stage; each bucket commits data+manifest atomically from its worker.
+    Returns the manifests of THIS run (empty if everything was done).
+
+    The cost-model bucket plan (:func:`compute_bucket_plan` — LPT packing +
+    sub-bucket query-split salting) is computed on the FIRST run (or passed
+    in), persisted in the run config, and reloaded on resume/backfill —
+    bucket assignment is invariant across runs even when late fragments
+    change the entity counts the plan was derived from.  Passing a
+    ``bucket_plan`` that differs from the committed one raises, like a
+    ``num_buckets`` mismatch.
+    """
+    from ..state.backfill import load_run_config, save_run_config
+
+    fragments = list_fragments(events_dir)
+    cfg = load_run_config(out_dir)
+    if cfg is None:
+        if bucket_plan is None:
+            bucket_plan = compute_bucket_plan(events_dir, queries_path, num_buckets, sampen_max_n)
+        plan = _saved_form(bucket_plan)
+        save_run_config(out_dir, num_buckets, fragments, **plan)
+    else:
+        # resume/backfill: bucket assignment MUST match the original run
+        if cfg["num_buckets"] != num_buckets:
+            raise ValueError(
+                f"num_buckets {num_buckets} != committed run config {cfg['num_buckets']}"
+            )
+        plan = _saved_form(cfg)
+        if bucket_plan is not None and _saved_form(bucket_plan) != plan:
+            raise ValueError(
+                "bucket_plan differs from the committed run config — "
+                "resume must reuse the original plan"
+            )
+
+    def commit(bucket: int, tbl: pa.Table, merged: pa.Table, t0: float) -> pa.Table:
         side = np.asarray(tbl.column(SIDE_COL).combine_chunks())
         ev_ts = np.asarray(tbl.column("__ts").cast(pa.int64()).combine_chunks())[side == 0]
-        watermark = int(ev_ts.max()) if ev_ts.size else None
-        n_entities = pc.count_distinct(tbl.column("image_id")).as_py()
         manifest = commit_partition(
-            out_dir, bucket, merged, fragments, watermark, t0,
-            extra={"n_entities": n_entities, "n_input_rows": tbl.num_rows},
+            out_dir, bucket, merged, fragments,
+            int(ev_ts.max()) if ev_ts.size else None,  # watermark
+            t0,
+            extra={
+                "n_entities": pc.count_distinct(tbl.column("image_id")).as_py(),
+                "n_input_rows": tbl.num_rows,
+            },
         )
-        import json  # noqa: PLC0415
-
         return pa.table({"manifest": pa.array([json.dumps(manifest)], pa.string())})
 
-    out = grouped_sorted_apply(
-        unioned, "__skey", ["__ts", SIDE_COL], per_bucket, num_buckets,
-        hot_keys=hot, explicit_map=plan, skip_buckets=done, keep_bucket_col=True,
-        pre_shuffle_blocks=num_buckets,
+    out = _pit_plan(
+        events_dir, queries_path, num_buckets, plan, sampen_max_n, decode_concurrency,
+        commit=commit, skip_buckets=completed_buckets(out_dir),
     )
-    import json  # noqa: PLC0415
-
     return [json.loads(r["manifest"]) for r in out.take_all()]

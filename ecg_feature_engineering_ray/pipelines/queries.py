@@ -1702,8 +1702,8 @@ def ngram_jaccard_pairs(sf_dir: str, tau_num: int = 3, tau_den: int = 5, max_buc
         )
         hot = multi.sort(["count()", "gram"], descending=[True, False]).limit(hot_k)
         # bounded by hot_k rows (16-hex string + count) — broadcast-size
-        hot_keys_desc = [r["gram"] for r in hot.take_all()]
-        rank_ref = ray.put({g: len(hot_keys_desc) - i for i, g in enumerate(hot_keys_desc)})
+        hot_grams_desc = [r["gram"] for r in hot.take_all()]
+        rank_ref = ray.put({g: len(hot_grams_desc) - i for i, g in enumerate(hot_grams_desc)})
 
     def prefix_emit(batch: pa.Table) -> pa.Table:
         rank = ray.get(rank_ref) if rank_ref is not None else {}
@@ -4649,7 +4649,44 @@ def _emb_f64(batch: pa.Table) -> np.ndarray:
     as :func:`_emb_matrix`)."""
     col = batch.column("embedding").combine_chunks()
     flat = np.asarray(col.flatten(), dtype=np.float64)
-    return flat.reshape(batch.num_rows, -1)
+    return flat.reshape(batch.num_rows, -1) if batch.num_rows else flat.reshape(0, 0)
+
+
+def _lloyd_stats(X: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One batch's fixed-point Lloyd sufficient statistics against the
+    centroids ``C`` (k, d): int64 arrays ``(key, s)`` with key packing
+    (cluster, slot) as cluster·(d+1) + slot — slot 0 carries the member
+    count, slot j the Σ rint(x_{j-1}·2²⁰) of the members.  A zero-row ``X``
+    gives two empty arrays."""
+    if len(X) == 0:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    dd = C.shape[1]
+    Q = np.rint(X * _KM_SCALE).astype(np.int64)
+    d2 = ((X[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
+    assign = np.argmin(d2, axis=1)
+    order = np.argsort(assign, kind="stable")
+    a_s = assign[order]
+    bounds = np.flatnonzero(np.r_[True, a_s[1:] != a_s[:-1]])
+    sums = np.add.reduceat(Q[order], bounds, axis=0)
+    cnts = np.diff(np.r_[bounds, len(a_s)])
+    key = (a_s[bounds, None] * (dd + 1) + np.arange(dd + 1)).ravel()
+    return key, np.column_stack([cnts, sums]).ravel()
+
+
+def _lloyd_partials(batch: pa.Table, codebooks: np.ndarray) -> pa.Table:
+    """``{key, s}`` partial-statistics rows of one batch for m codebooks
+    (m, k, d/m), codebook mi over embedding dims [mi·d/m, (mi+1)·d/m) —
+    m = 1 is plain k-means.  Codebook mi's keys (see :func:`_lloyd_stats`)
+    are offset by mi·k·(d/m+1)."""
+    m, k, dsub = codebooks.shape
+    X = _emb_f64(batch)
+    keys, vals = [], []
+    for mi in range(m):
+        key, s = _lloyd_stats(X[:, mi * dsub:(mi + 1) * dsub], codebooks[mi])
+        keys.append(mi * k * (dsub + 1) + key)
+        vals.append(s)
+    return pa.table({"key": pa.array(np.concatenate(keys), pa.int64()),
+                     "s": pa.array(np.concatenate(vals), pa.int64())})
 
 
 def refresh_kmeans_expected(sf_dir: str, k: int = _KM_K, iters: int = _KM_ITERS) -> str:
@@ -4754,30 +4791,10 @@ def _lloyd_centroids(ds, k: int, iters: int) -> np.ndarray:
     d = C.shape[1]
 
     for _ in range(iters):
-        cref = ray.put(C)
+        cref = ray.put(C[None])
 
         def partials(batch: pa.Table) -> pa.Table:
-            Cl = ray.get(cref)
-            X = _emb_f64(batch)
-            Q = np.rint(X * _KM_SCALE).astype(np.int64)
-            d2 = ((X[:, None, :] - Cl[None, :, :]) ** 2).sum(axis=2)
-            assign = np.argmin(d2, axis=1)
-            order = np.argsort(assign, kind="stable")
-            a_s = assign[order]
-            bounds = np.flatnonzero(np.r_[True, a_s[1:] != a_s[:-1]])
-            clusters = a_s[bounds]
-            sums = np.add.reduceat(Q[order], bounds, axis=0)
-            cnts = np.diff(np.r_[bounds, len(a_s)])
-            nc = len(clusters)
-            dd = Cl.shape[1]
-            # key packs (cluster, dim+1); dim slot 0 carries the count
-            key = (np.repeat(clusters, dd + 1) * (dd + 1)
-                   + np.tile(np.arange(dd + 1), nc))
-            s = np.concatenate(
-                [np.concatenate(([c], sv)) for c, sv in zip(cnts, sums)]
-            ) if nc else np.array([], dtype=np.int64)
-            return pa.table({"key": pa.array(key.astype(np.int64), pa.int64()),
-                             "s": pa.array(s, pa.int64())})
+            return _lloyd_partials(batch, ray.get(cref))
 
         stats = ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True) \
                   .groupby("key").sum("s").take_all()
@@ -6323,30 +6340,7 @@ def pq_codes(sf_dir: str, m: int = _PQ_M, k: int = _PQ_K, iters: int = _KM_ITERS
         cref = ray.put(codebook)
 
         def partials(batch: pa.Table) -> pa.Table:
-            cb = ray.get(cref)
-            X = _emb_f64(batch)
-            keys, vals = [], []
-            for mi in range(m):
-                Xs = X[:, mi * dsub:(mi + 1) * dsub]
-                Q = np.rint(Xs * _KM_SCALE).astype(np.int64)
-                d2 = ((Xs[:, None, :] - cb[mi][None, :, :]) ** 2).sum(axis=2)
-                assign = np.argmin(d2, axis=1)
-                order = np.argsort(assign, kind="stable")
-                a_s = assign[order]
-                bounds = np.flatnonzero(np.r_[True, a_s[1:] != a_s[:-1]])
-                clusters = a_s[bounds]
-                sums = np.add.reduceat(Q[order], bounds, axis=0)
-                cnts = np.diff(np.r_[bounds, len(a_s)])
-                nc = len(clusters)
-                base = mi * k * slot_n + np.repeat(clusters, slot_n) * slot_n
-                keys.append(base + np.tile(np.arange(slot_n), nc))
-                vals.append(np.concatenate(
-                    [np.concatenate(([c], sv)) for c, sv in zip(cnts, sums)]
-                ) if nc else np.array([], dtype=np.int64))
-            return pa.table({
-                "key": pa.array(np.concatenate(keys).astype(np.int64), pa.int64()),
-                "s": pa.array(np.concatenate(vals).astype(np.int64), pa.int64()),
-            })
+            return _lloyd_partials(batch, ray.get(cref))
 
         stats = ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True) \
                   .groupby("key").sum("s").take_all()

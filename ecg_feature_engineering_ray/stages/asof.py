@@ -224,7 +224,6 @@ def asof_join(
     aggs: dict[str, tuple[str, str]],
     left_cols: list[str],
     num_buckets: int = 64,
-    hot_keys: list | None = None,
     point_fn: Callable | None = None,
     point_out: list[str] | None = None,
     value_cols: list[str] | None = None,
@@ -272,7 +271,7 @@ def asof_join(
         )
 
     return grouped_sorted_apply(
-        unioned, key, ["__ts", SIDE_COL], per_bucket, num_buckets, hot_keys=hot_keys
+        unioned, key, ["__ts", SIDE_COL], per_bucket, num_buckets
     )
 
 
@@ -286,7 +285,6 @@ def asof_self_join(
     left_cols: list[str],
     right_exprs: "dict[str, Callable[[pa.Table], pa.Array]] | None" = None,
     num_buckets: int = 64,
-    hot_keys: list | None = None,
     window_us: int | None = None,
 ) -> Dataset:
     """Point-in-time join of a stream AGAINST ITSELF — one read, one pass.
@@ -341,5 +339,5 @@ def asof_self_join(
         )
 
     return grouped_sorted_apply(
-        unioned, key, ["__ts", SIDE_COL], per_bucket, num_buckets, hot_keys=hot_keys
+        unioned, key, ["__ts", SIDE_COL], per_bucket, num_buckets
     )

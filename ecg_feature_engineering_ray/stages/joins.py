@@ -97,7 +97,6 @@ def shuffle_join(
     right_cols: list[str],
     how: str = "inner",
     num_buckets: int = 64,
-    hot_keys: list | None = None,
     suffix: str = "_r",
     **map_groups_kwargs,
 ) -> Dataset:
@@ -107,10 +106,9 @@ def shuffle_join(
     neither fact table fits one node): both sides are tagged, null-padded to
     a common schema and unioned, then ONE hash-bucket exchange on the join
     key co-locates every key's rows (the same `grouped_sorted_apply` spine
-    as the as-of join, so skewed keys reuse `hot_keys` isolation), and each
-    bucket runs a vectorized Arrow hash join (`pa.Table.join`, Acero) on its
-    two sides.  Duplicate keys on BOTH sides are fine (full m×n expansion
-    per key, standard SQL semantics).
+    as the as-of join), and each bucket runs a vectorized Arrow hash join
+    (`pa.Table.join`, Acero) on its two sides.  Duplicate keys on BOTH sides
+    are fine (full m×n expansion per key, standard SQL semantics).
 
     how ∈ {'inner', 'left', 'full'}.  ``left_cols``/``right_cols`` are the payload
     columns to carry (prune at the read — a join that ships all columns is
@@ -122,9 +120,9 @@ def shuffle_join(
     SQL null-key non-matching inside the bucket.
 
     Partitioning assumption: one key's rows fit in one bucket's memory —
-    for a key hot enough to break that, pre-split with ``hot_keys`` (own
-    bucket) or fall back to ``broadcast_join`` for the small side of that
-    key.  Reference analog: the record↔label merge over full tables
+    for a key hot enough to break that, fall back to ``broadcast_join`` for
+    the small side of that key.  Reference analog: the record↔label merge
+    over full tables
     (/root/reference/challenge2020/preprocess/preprocess-300hz.py:142-152)
     generalized to fact×fact scale.
     """
@@ -196,7 +194,7 @@ def shuffle_join(
         return joined.select(out_names).sort_by([(c, "ascending") for c in out_names])
 
     return grouped_sorted_apply(
-        unioned, jk, [SIDE_COL], per_bucket, num_buckets, hot_keys=hot_keys,
+        unioned, jk, [SIDE_COL], per_bucket, num_buckets,
         **map_groups_kwargs,
     )
 
@@ -272,7 +270,6 @@ def interval_join(
     how: str = "inner",
     closed: str = "both",
     num_buckets: int = 64,
-    hot_keys: list | None = None,
     suffix: str = "_r",
     **map_groups_kwargs,
 ) -> Dataset:
@@ -402,6 +399,6 @@ def interval_join(
         return out.sort_by([(c, "ascending") for c in [key, left_ts] + left_cols])
 
     return grouped_sorted_apply(
-        unioned, key, ["__t", SIDE_COL], per_bucket, num_buckets, hot_keys=hot_keys,
+        unioned, key, ["__t", SIDE_COL], per_bucket, num_buckets,
         **map_groups_kwargs,
     )

@@ -4,8 +4,7 @@ Every per-entity ordered computation (lag/lead, sessionize, rolling windows,
 grouped aggregates, as-of join) reuses ONE partitioning scheme so the data is
 shuffled once and processed many times:
 
-    bucket = stable_hash(entity_key) % num_buckets        (normal keys)
-    bucket = num_buckets + rank(hot_key)                  (detected hot keys)
+    bucket = stable_hash(entity_key) % num_buckets   (unless explicitly placed)
 
 ``num_buckets`` scales with the cluster (≈ 2-4 × total CPUs); each bucket is
 processed as ONE Arrow table by ``Dataset.groupby("__bucket").map_groups``,
@@ -15,19 +14,17 @@ down to the key + order + value columns first (images' ``bytes`` never enter
 the shuffle — see pipelines.flagship).
 
 Hot-key (skew) handling: the reference has no analog (its skew is "the
-longest ECG record just takes longer", SURVEY.md §4).  Three escalating
-tools, all fed by the shuffle-free partial-count pre-pass:
+longest ECG record just takes longer", SURVEY.md §4).  Two tools, both fed
+by the shuffle-free partial-count pre-pass (:func:`entity_counts`):
 
-1. ``detect_hot_keys`` — entities above ``hot_frac`` of rows get a DEDICATED
-   bucket (no shared-bucket straggling);
-2. ``plan_buckets`` — greedy LPT packing of heavy entities into balanced
-   buckets (hash for the light tail);
-3. query-split salting (pipelines/flagship.py) — an entity too heavy for ONE
+1. ``plan_buckets`` — greedy LPT packing of heavy entities into balanced
+   buckets (hash for the light tail), applied through ``explicit_map``;
+2. query-split salting (pipelines/flagship.py) — an entity too heavy for ONE
    bucket has its queries hash-split into k salt groups with its events
    replicated into each, so per-(entity, as-of) order statistics stay exact
    while the work spreads over k workers.  Entity-level order statistics
    (a single percentile over ALL of one entity's rows) are not mergeable
-   across salts and keep using 1+2 only.
+   across salts and keep using 1 only.
 """
 
 from __future__ import annotations
@@ -55,32 +52,25 @@ def with_bucket(
     ds: Dataset,
     key: str,
     num_buckets: int,
-    hot_keys: list | None = None,
     explicit_map: dict | None = None,
 ) -> Dataset:
     """Append an int32 ``__bucket`` column keyed by ``key``.
 
-    ``hot_keys`` (optional, from :func:`detect_hot_keys`) each get their own
-    bucket id ``num_buckets + i`` so one skewed entity cannot straggle a
-    shared bucket.  ``explicit_map`` (optional, from :func:`plan_buckets`)
-    pins specific keys to specific buckets (cost-balanced packing); unmapped
-    keys fall back to the hash.
+    ``explicit_map`` (optional, from :func:`plan_buckets`) pins specific keys
+    to specific buckets (cost-balanced packing); unmapped keys fall back to
+    the hash.
     """
-    # combined override map (explicit placement wins over hot-key buckets)
-    override = dict({k: num_buckets + i for i, k in enumerate(hot_keys)} if hot_keys else {})
-    if explicit_map:
-        override.update(explicit_map)
 
     def assign(batch: pa.Table) -> pa.Table:
         col = batch.column(key)
         ids = _bucket_ids(col, num_buckets)
-        if override:
+        if explicit_map:
             # vectorized override: dictionary-encode → LUT over the batch's
             # UNIQUE keys only (the skewed-run hot path; no per-row Python)
             d = col.combine_chunks().dictionary_encode()
             idx = np.asarray(d.indices)
             lut = np.fromiter(
-                (override.get(v, -1) for v in d.dictionary.to_pylist()),
+                (explicit_map.get(v, -1) for v in d.dictionary.to_pylist()),
                 dtype=np.int64, count=len(d.dictionary),
             )
             mapped = lut[idx]
@@ -162,37 +152,12 @@ def plan_buckets(
     return out
 
 
-def detect_hot_keys(
-    ds: Dataset,
-    key: str,
-    hot_frac: float = 0.05,
-    max_keys: int = 64,
-    max_tracked: int | None = 1_000_000,
-) -> list:
-    """Find entity keys holding more than ``hot_frac`` of all rows.
-
-    Built on :func:`entity_counts`, so driver memory is bounded by the same
-    space-saving eviction (``max_tracked`` survivors, counts overestimated
-    by at most the eviction floor).  Overestimates only ever flag MORE keys
-    hot — conservative and safe for salting; a truly hot key (≥ hot_frac of
-    rows) can never be evicted because eviction drops the lightest keys.
-    """
-    merged = entity_counts(ds, key, max_tracked=max_tracked)
-    total = sum(merged.values())
-    if total == 0:
-        return []
-    hot = [(v, c) for v, c in merged.items() if c >= hot_frac * total]
-    hot.sort(key=lambda t: -t[1])
-    return [v for v, _ in hot[:max_keys]]
-
-
 def grouped_sorted_apply(
     ds: Dataset,
     key: str,
     order_by: list[str],
     fn: Callable[[pa.Table], pa.Table],
     num_buckets: int,
-    hot_keys: list | None = None,
     explicit_map: dict | None = None,
     skip_buckets: set[int] | None = None,
     keep_bucket_col: bool = False,
@@ -216,7 +181,7 @@ def grouped_sorted_apply(
     KB-sized blocks is dominated by per-block overhead — coalescing first
     keeps the exchange proportional to data, not block count.
     """
-    bucketed = with_bucket(ds, key, num_buckets, hot_keys=hot_keys, explicit_map=explicit_map)
+    bucketed = with_bucket(ds, key, num_buckets, explicit_map=explicit_map)
     if skip_buckets:
         skip = sorted(skip_buckets)
 

@@ -4,8 +4,8 @@ The reference never faces late data (each ECG record arrives whole,
 SURVEY.md §2.9); a streaming feature store must. Protocol:
 
 1. The checkpointed run persists its partitioning config (``_run.json``:
-   num_buckets, hot keys, fragment list) so bucket assignment is stable
-   across runs.
+   num_buckets, fragment list, LPT plan, salt map) so bucket assignment is
+   stable across runs.
 2. A new fragment arrives carrying rows with ``ts`` below a committed
    partition's watermark → those rows are LATE.
 3. :func:`invalidate_for_fragments` reads ONLY the key column of the new
@@ -33,7 +33,6 @@ RUN_CONFIG = "_run.json"
 def save_run_config(
     out_dir: str,
     num_buckets: int,
-    hot_keys: list,
     fragments: list[str],
     plan: dict | None = None,
     salt: dict | None = None,
@@ -50,7 +49,6 @@ def save_run_config(
         json.dump(
             {
                 "num_buckets": num_buckets,
-                "hot_keys": hot_keys,
                 "fragments": fragments,
                 "plan": plan or {},
                 "salt": {k: int(v) for k, v in (salt or {}).items()},
@@ -61,18 +59,23 @@ def save_run_config(
 
 
 def load_run_config(out_dir: str) -> dict | None:
+    """The saved run config, or None before the first run.
+
+    Configs written before the cost plan became the only skew mechanism may
+    carry a non-empty ``hot_keys`` list (dedicated buckets past
+    ``num_buckets``); their partitions cannot be matched to today's bucket
+    assignment, so they are refused rather than silently re-routed."""
     path = os.path.join(out_dir, RUN_CONFIG)
     if not os.path.exists(path):
         return None
     with open(path) as f:
-        return json.load(f)
-
-
-def bucket_of(image_id: str, num_buckets: int, hot_keys: list) -> int:
-    """Single-key bucket assignment — MUST match stages.partition.with_bucket."""
-    if image_id in hot_keys:
-        return num_buckets + hot_keys.index(image_id)
-    return md5_u64(image_id) % num_buckets
+        cfg = json.load(f)
+    if cfg.get("hot_keys"):
+        raise ValueError(
+            f"{path} routes hot keys to dedicated buckets, which this engine no "
+            "longer supports — re-run into a fresh out_dir"
+        )
+    return cfg
 
 
 def buckets_of(image_id: str, cfg: dict) -> set[int]:
@@ -82,11 +85,8 @@ def buckets_of(image_id: str, cfg: dict) -> set[int]:
     ``image_id#0..k-1`` (pipelines/flagship._make_tag_fns), so a late event
     row touches EVERY one of those buckets; unsalted entities map to exactly
     one.  Mirrors with_bucket's precedence: explicit plan wins over the
-    hash, hot-key dedicated buckets win over both (legacy configs)."""
+    hash."""
     num_buckets = cfg["num_buckets"]
-    hot_keys = cfg.get("hot_keys") or []
-    if image_id in hot_keys:
-        return {num_buckets + hot_keys.index(image_id)}
     plan = cfg.get("plan") or {}
     k = int((cfg.get("salt") or {}).get(image_id, 1))
     skeys = [f"{image_id}#{j}" for j in range(k)] if k > 1 else [image_id]

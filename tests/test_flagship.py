@@ -12,7 +12,6 @@ from ecg_feature_engineering_ray.pipelines.flagship import (
     pit_features,
     pit_features_checkpointed,
 )
-from ecg_feature_engineering_ray.stages.partition import detect_hot_keys
 from ecg_feature_engineering_ray.state.checkpoint import (
     completed_buckets,
     partition_paths,
@@ -73,8 +72,10 @@ def test_checkpointed_equals_streaming(engine_result, fixture_events, fixture_qu
     key = ["image_id", "as_of_ts"]
     a = got.sort_values(key).reset_index(drop=True)
     b = engine_result.sort_values(key).reset_index(drop=True)
+    assert len(a) == len(b)
     for name in PIT_FEATURE_NAMES:
-        assert np.allclose(a[name].values, b[name].values, equal_nan=True)
+        va, vb = a[name].values, b[name].values
+        assert ((va == vb) | (np.isnan(va) & np.isnan(vb))).all(), name
 
 
 def test_resume_skips_completed_and_reproduces(fixture_events, fixture_queries, tmp_path):
@@ -110,16 +111,10 @@ def test_resume_skips_completed_and_reproduces(fixture_events, fixture_queries, 
         assert np.allclose(a[name].values, b[name].values, equal_nan=True)
 
 
-def test_hot_entity_isolated_and_correct(fixture_events, engine_result, oracle_result):
-    """The planted hot entity (30% of rows) gets a dedicated bucket and its
-    features still match the oracle."""
-    events_dir, manifest = fixture_events
-    from ecg_feature_engineering_ray.sources.readers import read_events
-
-    ds = read_events(events_dir, columns=["image_id"])
-    hot = detect_hot_keys(ds, "image_id", hot_frac=0.10)
-    assert manifest["hot_entity"] in hot
-
+def test_hot_entity_matches_oracle(fixture_events, engine_result, oracle_result):
+    """The planted hot entity (30% of rows) is answered, and its features
+    match the oracle."""
+    _, manifest = fixture_events
     e, o = _aligned(engine_result, oracle_result)
     mask = e.image_id == manifest["hot_entity"]
     assert mask.any()
@@ -272,6 +267,34 @@ def test_checkpointed_salted_plan_resume_and_balance(
     for name in PIT_FEATURE_NAMES:
         va, vb = a2[name].values, a[name].values
         assert ((va == vb) | (np.isnan(va) & np.isnan(vb))).all(), name
+
+
+def test_legacy_hot_key_run_config_is_refused(fixture_events, fixture_queries, tmp_path):
+    """A ``_run.json`` that routes hot keys to dedicated buckets (written by
+    engines that still had them) cannot be resumed or backfilled: every
+    reader raises instead of re-routing those rows to the hash."""
+    import json
+
+    from ecg_feature_engineering_ray.state.backfill import (
+        RUN_CONFIG,
+        invalidate_for_fragments,
+        late_rows_below_watermark,
+    )
+
+    events_dir, manifest = fixture_events
+    out_dir = str(tmp_path / "legacy")
+    os.makedirs(out_dir)
+    with open(os.path.join(out_dir, RUN_CONFIG), "w") as f:
+        json.dump({"num_buckets": 8, "hot_keys": [manifest["hot_entity"]],
+                   "fragments": [], "plan": {}, "salt": {}}, f)
+    frag = os.path.join(events_dir, sorted(os.listdir(events_dir))[0])
+    with pytest.raises(ValueError, match="fresh out_dir"):
+        pit_features_checkpointed(events_dir, fixture_queries, out_dir, num_buckets=8)
+    with pytest.raises(ValueError, match="fresh out_dir"):
+        invalidate_for_fragments(out_dir, [frag])
+    with pytest.raises(ValueError, match="fresh out_dir"):
+        late_rows_below_watermark(out_dir, [frag])
+    assert not completed_buckets(out_dir)
 
 
 def test_commit_partition_idempotent_retry(tmp_path):

@@ -157,6 +157,34 @@ def test_kmeans_fixed_point_update_is_order_independent():
         assert (s / (len(X) * scale) == whole).all()  # exact, not allclose
 
 
+def test_lloyd_partials_empty_batch_and_split_invariance():
+    """The Lloyd trainer's per-batch statistics (k-means: one codebook; PQ: m
+    subspace codebooks) return the declared ``{key, s}`` int64 schema on a
+    zero-row batch, and summing them per key gives the same totals for any
+    split of the rows, empty slices included."""
+    from ecg_feature_engineering_ray.pipelines.queries import _lloyd_partials
+
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((200, 16)).astype(np.float32)
+    batch = pa.table({"vec_id": pa.array(np.arange(len(X)), pa.int64()),
+                      "embedding": pa.array(list(X), pa.list_(pa.float32()))})
+    schema = pa.schema([("key", pa.int64()), ("s", pa.int64())])
+
+    def totals(tbl: pa.Table) -> dict:
+        return dict(zip(tbl.column("key").to_pylist(), tbl.column("s").to_pylist()))
+
+    for m in (1, 4):
+        codebooks = rng.standard_normal((m, 6, 16 // m))
+        empty = _lloyd_partials(batch.slice(0, 0), codebooks)
+        assert empty.schema == schema and empty.num_rows == 0
+        parts = pa.concat_tables([
+            _lloyd_partials(batch.slice(a, b - a), codebooks)
+            for a, b in ((0, 0), (0, 70), (70, 70), (70, 200))
+        ])
+        summed = parts.group_by("key").aggregate([("s", "sum")]).rename_columns(["key", "s"])
+        assert totals(summed) == totals(_lloyd_partials(batch, codebooks))
+
+
 def test_kmeans_matches_independent_oracle():
     from tests.oracle import oracle_kmeans
 
