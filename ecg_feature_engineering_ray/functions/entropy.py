@@ -13,6 +13,10 @@ Two variants mirroring the reference:
 Both are O(n²) per entity — callers cap the series length (``max_n``) to
 bound worst-case work on hot entities; the cap is part of the engine spec
 and is applied identically in the test oracle.
+
+:func:`sampen_hrv_prefixes` answers :func:`sampen_hrv` for many prefixes of
+one series from a single pass over its template pairs — the as-of merge's
+path, where every query of an entity asks for a nested prefix.
 """
 
 from __future__ import annotations
@@ -52,13 +56,17 @@ def sampen_hrv(x: np.ndarray, m: int = 2, r_frac: float = 0.2, max_n: int = 3000
     (/root/reference/HRV_features.py:135-139).
     """
     x = np.asarray(x, dtype=np.float64)[:max_n]
-    out = np.full(2, -2.0)
     if x.size < m + 2:
-        return out
+        return np.full(2, -2.0)
     r = r_frac * x.std()
     bm = _count_matches(x, m, r)          # matches at length m
     am = _count_matches(x, m + 1, r)      # matches at length m+1
     b1 = _count_matches(x, m - 1, r) if m >= 2 else bm
+    return _hrv_pair(b1, bm, am)
+
+
+def _hrv_pair(b1: int, bm: int, am: int) -> np.ndarray:
+    """[sampen_m, sampen_m1] from the match counts at lengths m−1, m, m+1."""
     vals = []
     # sampen at lengths m and m+1: -ln(matches_len+1 / matches_len)
     for num, den in ((bm, b1), (am, bm)):
@@ -72,6 +80,83 @@ def sampen_hrv(x: np.ndarray, m: int = 2, r_frac: float = 0.2, max_n: int = 3000
     arr[np.isnan(arr)] = -2.0
     arr[np.isinf(arr)] = -1.0
     return arr
+
+
+# pairs per row block of the one-pass kernel: 64 K float64 distances (512 KB)
+# stay cache-resident; measured ~2× faster than 1 M-pair blocks at n = 4,000
+_PAIR_BLOCK = 1 << 16
+
+
+def _pair_distances(x: np.ndarray, k: int, lo: int, hi: int) -> np.ndarray:
+    """Chebyshev distances of the length-k template pairs (i, j), i < j, for
+    rows lo < j ≤ hi, in (j, i) order.  Each is max_t |x[i+t] − x[j+t]|, so
+    ``D <= r`` is exactly the all-of comparison :func:`_count_matches` makes.
+    Built as a (rows × hi) broadcast, then cut to its lower triangle — no
+    per-pair index arrays."""
+    rows = np.arange(lo + 1, hi + 1)
+    d = np.abs(x[None, :hi] - x[rows, None])
+    for t in range(1, k):
+        np.maximum(d, np.abs(x[None, t : hi + t] - x[rows + t, None]), out=d)
+    return d[np.arange(hi)[None, :] < rows[:, None]]
+
+
+def _prefix_match_counts(x: np.ndarray, k: int, lens: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``counts[c]`` = pairs i < j ≤ lens[c] − k whose length-k templates are
+    within ``r[c]`` — :func:`_count_matches` of ``x[:lens[c]]`` for every
+    sorted distinct length at once.
+
+    A pair's distance does not depend on the prefix, so the pairs are built
+    once in j order and cut at each length's last row: a cut belongs to its
+    own length and every longer one.  Each cut (split into row blocks of at
+    most ~``_PAIR_BLOCK`` pairs, so one block is all that is held) is sorted once
+    and every threshold at or above it is answered by ``searchsorted``; a
+    block that only the longest length sees is counted without a sort."""
+    counts = np.zeros(lens.size, dtype=np.int64)
+    lo = 0
+    for c, hi in enumerate(lens - k):
+        step = max(1, _PAIR_BLOCK // int(hi))          # rows per block
+        for a in range(lo, int(hi), step):
+            d = _pair_distances(x, k, a, min(a + step, int(hi)))
+            if c == lens.size - 1:
+                counts[c] += int(np.count_nonzero(d <= r[c]))
+            else:
+                d.sort()
+                counts[c:] += np.searchsorted(d, r[c:], side="right")
+        lo = int(hi)
+    return counts
+
+
+def sampen_hrv_prefixes(x: np.ndarray, lens, m: int = 2, r_frac: float = 0.2,
+                        max_n: int = 3000) -> np.ndarray:
+    """:func:`sampen_hrv` of every prefix ``x[:L]``, ``L`` in ``lens``, from one
+    pass over the template pairs — ``np.stack([sampen_hrv(x[:L], m, r_frac,
+    max_n) for L in lens])``, bit for bit.
+
+    Each distinct capped length L = min(L, max_n, len(x)) gets its own
+    r = r_frac·std(x[:L]) (numpy's std of that prefix, as in
+    :func:`sampen_hrv`); lengths past the cap share one value.  Work is
+    O(n²·log) for the pairs of the longest prefix plus O(#lengths²) searches,
+    against O(Σ L²) for one :func:`sampen_hrv` call per prefix; memory is one
+    row block of ~``_PAIR_BLOCK`` float64 distances.  ``m`` ≥ 1, ``lens`` ≥ 0.
+    """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    x = np.asarray(x, dtype=np.float64)[:max_n]
+    lens = np.minimum(np.asarray(lens, dtype=np.int64).reshape(-1), x.size)
+    uniq, inv = np.unique(lens, return_inverse=True)
+    vals = np.full((uniq.size, 2), -2.0)
+    ok = uniq >= m + 2
+    if ok.any():
+        ls = uniq[ok]
+        r = np.array([r_frac * x[:L].std() for L in ls])
+        ks = (m - 1, m, m + 1) if m >= 2 else (m, m + 1)
+        cnt = {k: _prefix_match_counts(x, k, ls, r) for k in ks}
+        # a NaN r compares false against every distance (searchsorted would not)
+        for c in cnt.values():
+            c[np.isnan(r)] = 0
+        b1 = cnt[m - 1] if m >= 2 else cnt[m]
+        vals[ok] = [_hrv_pair(int(a), int(b), int(c)) for a, b, c in zip(b1, cnt[m], cnt[m + 1])]
+    return vals[inv.reshape(-1)]
 
 
 def sampen2(x: np.ndarray, mm: int = 3, r: float = 0.2, normalize: bool = False,

@@ -62,7 +62,12 @@ def compute_bucket_plan(
     E[min(prefix, cap)²] = n²/3 below the cap and cap²·(1 − 2·(cap/n)/3)
     above it — NOT min(n, cap)²: the naive form under-weights long capped
     entities ~3× relative to short ones, and LPT packs their buckets into
-    stragglers.
+    stragglers.  This model now OVERSTATES the merge: the SampEn columns of
+    all an entity's queries come from one pair pass
+    (:func:`~..functions.entropy.sampen_hrv_prefixes`), so an entity (or a
+    salt group) costs about min(n, cap)² + q·n, not q·E[min(p, cap)²].
+    Re-deriving it, and deleting salting if LPT alone keeps the buckets
+    even, is the follow-on in ROADMAP direction 1.
 
     Entities whose total cost exceeds a ``1/granularity`` share of a bucket
     are SALTED: their queries split into k salt groups (``image_id#salt``

@@ -4689,6 +4689,26 @@ def _lloyd_partials(batch: pa.Table, codebooks: np.ndarray) -> pa.Table:
                      "s": pa.array(np.concatenate(vals), pa.int64())})
 
 
+def _lloyd_assign(batch: pa.Table, codebooks: np.ndarray, code_cols: list[str],
+                  err_col: str) -> pa.Table:
+    """One batch's assignment pass for m codebooks (m, k, d/m) — m = 1 is
+    k-means: ``vec_id``, the nearest code per codebook (ties → lower code)
+    as int64 ``code_cols``, and the summed squared distance to them rounded
+    as float64 ``err_col``.  A zero-row batch gives the same schema, empty."""
+    m, _, dsub = codebooks.shape
+    X = _emb_f64(batch).reshape(batch.num_rows, m * dsub)
+    cols = {"vec_id": batch.column("vec_id")}
+    tot = np.zeros(batch.num_rows, dtype=np.float64)
+    for mi, name in enumerate(code_cols):
+        Xs = X[:, mi * dsub:(mi + 1) * dsub]
+        d2 = ((Xs[:, None, :] - codebooks[mi][None, :, :]) ** 2).sum(axis=2)
+        a = np.argmin(d2, axis=1)
+        cols[name] = pa.array(a.astype(np.int64), pa.int64())
+        tot += d2[np.arange(len(Xs)), a]
+    cols[err_col] = pa.array(rnd(tot), pa.float64())
+    return pa.table(cols)
+
+
 def refresh_kmeans_expected(sf_dir: str, k: int = _KM_K, iters: int = _KM_ITERS) -> str:
     """(Re)build the independent k-means oracle parquet for this config.
 
@@ -4750,19 +4770,10 @@ def kmeans_embeddings(sf_dir: str, k: int = _KM_K, iters: int = _KM_ITERS):
     # instead of re-reading parquet on every Lloyd pass.
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"]).materialize()
     C = _lloyd_centroids(ds, k, iters)
-    cref = ray.put(C)
+    cref = ray.put(C[None])
 
     def assign_out(batch: pa.Table) -> pa.Table:
-        Cl = ray.get(cref)
-        X = _emb_f64(batch)
-        d2 = ((X[:, None, :] - Cl[None, :, :]) ** 2).sum(axis=2)
-        a = np.argmin(d2, axis=1)
-        best = d2[np.arange(len(X)), a]
-        return pa.table({
-            "vec_id": batch.column("vec_id"),
-            "cluster": pa.array(a.astype(np.int64), pa.int64()),
-            "dist_sq": pa.array(rnd(best), pa.float64()),
-        })
+        return _lloyd_assign(batch, ray.get(cref), ["cluster"], "dist_sq")
 
     # refresh the independent-oracle parquet for THIS input — cached per
     # (sf_dir, k, iters), so repeat runs (bench) pay a file copy, not the
@@ -6360,18 +6371,7 @@ def pq_codes(sf_dir: str, m: int = _PQ_M, k: int = _PQ_K, iters: int = _KM_ITERS
     cref = ray.put(codebook)
 
     def assign(batch: pa.Table) -> pa.Table:
-        cb = ray.get(cref)
-        X = _emb_f64(batch)
-        cols = {"vec_id": batch.column("vec_id")}
-        tot = np.zeros(batch.num_rows, dtype=np.float64)
-        for mi in range(m):
-            Xs = X[:, mi * dsub:(mi + 1) * dsub]
-            d2 = ((Xs[:, None, :] - cb[mi][None, :, :]) ** 2).sum(axis=2)
-            a = np.argmin(d2, axis=1)
-            cols[f"code_{mi}"] = pa.array(a.astype(np.int64), pa.int64())
-            tot += d2[np.arange(len(Xs)), a]
-        cols["recon_err"] = pa.array(rnd(tot), pa.float64())
-        return pa.table(cols)
+        return _lloyd_assign(batch, ray.get(cref), [f"code_{mi}" for mi in range(m)], "recon_err")
 
     # refresh the independent-oracle parquet for THIS input (config-hashed
     # cache — repeat runs pay a file copy, not the oracle recompute)

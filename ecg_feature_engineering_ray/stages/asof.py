@@ -17,8 +17,10 @@ Physical plan (Ray-Data-first):
    ``searchsorted(event_ts, query_ts, side='right')`` gives each query its
    event-prefix length; prefix cumsums / running extrema answer count, sum,
    mean, min, max, last in O(rows); an optional ``point_fn`` computes an
-   arbitrary feature vector per query from the prefix slice (the hook the
-   flagship feature pipeline uses).
+   arbitrary feature vector per query from the entity's events and the
+   prefix lengths of all its queries in ONE call, so it can share work
+   across an entity's nested prefixes (the hook the flagship feature
+   pipeline uses).
 
 The reference's analog is implicit — every feature row is "features of the
 entity as of end-of-record" (/root/reference/challenge2020/get_model.py:29-48
@@ -85,7 +87,7 @@ def asof_merge_table(
     ts_col: str,
     aggs: dict[str, tuple[str, str]],
     left_cols: list[str],
-    point_fn: Callable[[dict[str, np.ndarray]], np.ndarray] | None = None,
+    point_fn: Callable[[dict[str, np.ndarray], np.ndarray], np.ndarray] | None = None,
     point_out: list[str] | None = None,
     value_cols: list[str] | None = None,
     window_us: int | None = None,
@@ -95,9 +97,11 @@ def asof_merge_table(
     ``aggs`` maps out_name → (right_value_col, fn) with fn in
     ``SUPPORTED_AGGS``; the ``w*`` variants aggregate over the BOUNDED
     lookback ``[as_of − window_us, as_of]`` instead of the whole prefix
-    (SQL analog: range-predicated join).  ``point_fn`` (optional) receives
-    the event-prefix arrays {col → values} of one query and returns a
-    fixed-length float vector named by ``point_out``.
+    (SQL analog: range-predicated join).  ``point_fn`` (optional) is called
+    once per entity with its ts-ordered event arrays {"ts", value col →
+    values} and ``pos``, the event-prefix length of each of its queries
+    (query q sees ``events[:pos[q]]``); it returns a ``(len(pos),
+    len(point_out))`` float matrix, one row per query in ``pos`` order.
     """
     side = np.asarray(tbl.column(SIDE_COL).combine_chunks())
     ts = np.asarray(tbl.column(ts_col).cast(pa.int64()).combine_chunks())
@@ -181,10 +185,7 @@ def asof_merge_table(
             agg_valid[name].append(valid)
 
         if point_fn is not None:
-            for qi, p in zip(q_local, pos):
-                prefix = {c: ev_vals[c][:p] for c in needed}
-                prefix["ts"] = ev_ts[:p]
-                point_rows.append(np.asarray(point_fn(prefix), dtype=np.float64))
+            point_rows.append(np.asarray(point_fn({**ev_vals, "ts": ev_ts}, pos), dtype=np.float64))
 
     if not out_left_idx:
         empty_cols: dict[str, pa.Array] = {}

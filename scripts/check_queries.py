@@ -9,6 +9,7 @@ Usage:  python scripts/check_queries.py [sf_dir] [query ...]
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -86,7 +87,7 @@ def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
 
-    ray.init(address="local", num_cpus=8, include_dashboard=False, ignore_reinit_error=True)
+    ray.init(address="local", num_cpus=len(os.sched_getaffinity(0)), include_dashboard=False, ignore_reinit_error=True)
     sys.path.insert(0, ".")
     import __ray_entry__ as e
 

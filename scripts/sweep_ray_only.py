@@ -12,6 +12,7 @@ Usage:  python scripts/sweep_ray_only.py [sf_dir] [query ...]
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -21,7 +22,7 @@ import ray
 def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.1"
     only = set(sys.argv[2:])
-    ray.init(address="local", num_cpus=32, include_dashboard=False)
+    ray.init(address="local", num_cpus=len(os.sched_getaffinity(0)), include_dashboard=False)
     sys.path.insert(0, ".")
     import __ray_entry__ as entry
 

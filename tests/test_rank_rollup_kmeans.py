@@ -185,6 +185,32 @@ def test_lloyd_partials_empty_batch_and_split_invariance():
         assert totals(summed) == totals(_lloyd_partials(batch, codebooks))
 
 
+def test_lloyd_assign_empty_batch_and_split_invariance():
+    """The k-means and PQ assignment passes return their declared schema on
+    a zero-row embedding batch, and assigning slices of a batch gives the
+    rows of assigning it whole."""
+    from ecg_feature_engineering_ray.pipelines.queries import _lloyd_assign
+
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((120, 16)).astype(np.float32)
+    batch = pa.table({"vec_id": pa.array(np.arange(len(X)), pa.int64()),
+                      "embedding": pa.array(list(X), pa.list_(pa.float32()))})
+    for code_cols, err_col in ((["cluster"], "dist_sq"),
+                               ([f"code_{mi}" for mi in range(4)], "recon_err")):
+        codebooks = rng.standard_normal((len(code_cols), 5, 16 // len(code_cols)))
+        schema = pa.schema([("vec_id", pa.int64())] + [(c, pa.int64()) for c in code_cols]
+                           + [(err_col, pa.float64())])
+        empty = _lloyd_assign(batch.slice(0, 0), codebooks, code_cols, err_col)
+        assert empty.schema == schema and empty.num_rows == 0
+        whole = _lloyd_assign(batch, codebooks, code_cols, err_col)
+        assert whole.schema == schema
+        parts = pa.concat_tables([
+            _lloyd_assign(batch.slice(a, b - a), codebooks, code_cols, err_col)
+            for a, b in ((0, 0), (0, 50), (50, 50), (50, 120))
+        ])
+        assert parts.equals(whole)
+
+
 def test_kmeans_matches_independent_oracle():
     from tests.oracle import oracle_kmeans
 
