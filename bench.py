@@ -31,25 +31,12 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 PROFILE = os.environ.get("GRAFT_BENCH_PROFILE", "default")
 # cost-model/plan-format version: part of the on-disk plan cache key so a
 # cost-model change invalidates stale cached plans (bump alongside
 # compute_bucket_plan semantics, like _FIXTURE_SCHEMA_V does for fixtures)
 _PLAN_V = 2
-# fixed-size decode pool: autoscaling from min=2 serialized the pipeline;
-# 0.75×CPUs leaves slots for the reads that feed the pool.  The right size
-# is WORKLOAD-DEPENDENT (measured, BASELINE.md round 4): at the default
-# fixture total decode CPU is only ~30 s, so a 30-actor pool is ramp-up-
-# dominated and starves reads (decode wall 4.9 → 8.7 s vs 24 actors, 6/6
-# repeats), while at the 10× fixture decode is ~70 % of flagship wall and
-# 30 actors win by ~10 % calib-normalized (37.9 → 29.9 s).  Default is
-# 0.75×CPUs on every run (no state carried between runs);
-# GRAFT_DECODE_ACTORS overrides.
-DEC_ACTORS = int(os.environ.get(
-    "GRAFT_DECODE_ACTORS",
-    min(max(2, int(NUM_CPUS * 0.75)), max(1, NUM_CPUS - 1)),
-))
 
 # Scaling pair (N→4N CPUs, fresh processes, same input).  Default 2→8
 # (round 5, was 4→16): the raw efficiency of any pair is bounded above by
@@ -341,7 +328,7 @@ def _stage_stats(stage_dir: str, decode_wall_s: float, merge_wall_s: float, cpus
     # fixed cost the scaling arms amortize)
     span = round(max(t1s) - min(t0s), 3) if t0s else None
     return {
-        "decode_wall_s": round(decode_wall_s, 3),   # staged decode (actor pool + materialize)
+        "decode_wall_s": round(decode_wall_s, 3),   # staged decode (read→decode tasks + materialize)
         "shuffle_merge_wall_s": round(merge_wall_s, 3),  # bucket exchange + sorted merge
         "merge_buckets": {
             "n": len(walls),
@@ -374,15 +361,6 @@ def run_suite() -> dict:
 
     events_dir, queries_path = fixture_dirs(prof)
 
-    dec_actors = DEC_ACTORS
-    if not prof["run_suite"] and "GRAFT_DECODE_ACTORS" not in os.environ:
-        # paired scaling arms must devote the SAME fraction of their cores
-        # to the decode pool, or the ratio stops measuring the engine: the
-        # 0.75× default rounds/caps to 1 actor at 2 CPUs (0.5 share) vs
-        # 6 at 8 CPUs (0.75 share), handing the wide arm disproportionate
-        # decode parallelism.  cpus//2 is exact at every N→4N pair.
-        dec_actors = max(1, NUM_CPUS // 2)
-
     # skew/balance stats: periodic job, precomputed outside the timed window
     # and CACHED on disk — the scaling rounds re-enter this process 6 times
     # over the same fixture, and the count passes are identical each time
@@ -412,24 +390,21 @@ def run_suite() -> dict:
         os.replace(plan_path + ".tmp", plan_path)
 
     # warmup (default profile only): one untimed pipeline run so Ray worker
-    # processes are warm — actor creation in a fresh session pays ~2-4 s of
-    # cold imports a steady-state service never sees.  The timed run still
-    # creates its own actor pool and reads its own input.  The scaling
-    # profile skips this: both arms carry identical cold-start F, and its
-    # runs are minutes long anyway.
+    # processes are warm — a fresh session pays ~2-4 s of cold imports a
+    # steady-state service never sees.  The timed run still reads and
+    # decodes its own input.  The scaling profile skips this: both arms
+    # carry identical cold-start F, and its runs are minutes long anyway.
     if prof["run_suite"]:
         warm = pit_features(events_dir, queries_path, num_buckets=num_buckets,
-                            decode_concurrency=(dec_actors, dec_actors),
                             sampen_max_n=prof["sampen_max_n"], bucket_plan=plan)
         warm.limit(1).count()
         del warm  # release the warmup run's materialized blocks
     else:
-        # scaling arms: CHEAP untimed warmup, identical in both arms — spin a
-        # decode actor pool over a 20k-row slice (worker spawn + imports +
-        # first fragments into page cache) and touch the merge-side modules
-        # in task workers.  Steady-state services never pay cold imports; the
-        # microbenchmarked kernel ceiling this bench is compared against
-        # doesn't either.
+        # scaling arms: CHEAP untimed warmup, identical in both arms — decode
+        # a 20k-row slice (worker spawn + imports + first fragments into page
+        # cache) and touch the merge-side modules in task workers.
+        # Steady-state services never pay cold imports; the microbenchmarked
+        # kernel ceiling this bench is compared against doesn't either.
         from ecg_feature_engineering_ray.sources.readers import read_events
         from ecg_feature_engineering_ray.stages.decode import decode_stage
 
@@ -440,7 +415,6 @@ def run_suite() -> dict:
             return batch
 
         w = decode_stage(read_events(events_dir).limit(20000),
-                         concurrency=(dec_actors, dec_actors), batch_size=256,
                          verify_roundtrip=False).select_columns(["image_id", "ts", "v"])
         w.map_batches(_warm_imports, batch_format="pyarrow").count()
         del w
@@ -459,7 +433,6 @@ def run_suite() -> dict:
         events_dir,
         queries_path,
         num_buckets=num_buckets,
-        decode_concurrency=(dec_actors, dec_actors),
         sampen_max_n=prof["sampen_max_n"],
         bucket_plan=plan,
         instrument=_BucketTimer(stage_dir),

@@ -113,13 +113,9 @@ def extract_features(
     events_dir: str,
     specs: list[FeatureSpec],
     num_buckets: int = 16,
-    decode_concurrency=(1, 4),
 ) -> Dataset:
     """Run a spec list over the image event table → one row per entity."""
-    decoded = decode_stage(read_events(events_dir), concurrency=decode_concurrency)
+    decoded = decode_stage(read_events(events_dir))
     decoded = decoded.select_columns(["image_id", "ts", "v"])
     per_bucket, _ = compile_specs(specs)
-    return grouped_sorted_apply(
-        decoded, "image_id", ["ts"], per_bucket, num_buckets,
-        pre_shuffle_blocks=max(4, num_buckets // 2),
-    )
+    return grouped_sorted_apply(decoded, "image_id", ["ts"], per_bucket, num_buckets)

@@ -57,7 +57,7 @@ def corpus_windows(
     shape is constant because every window is zero-padded to ``window``
     first.  ``spec_checksum`` (6-dp tile sum) is the scalar oracle hook."""
     weights = oversample or {}
-    decoded = decode_stage(read_events(events_dir), concurrency=(1, 4))
+    decoded = decode_stage(read_events(events_dir))
     decoded = decoded.select_columns(["image_id", "ts", "v", "caption"])
 
     def per_bucket(tbl: pa.Table) -> pa.Table:
@@ -115,8 +115,7 @@ def corpus_windows(
             )
         return pa.table(cols)
 
-    return grouped_sorted_apply(decoded, "image_id", ["ts"], per_bucket, num_buckets,
-                                pre_shuffle_blocks=max(4, num_buckets // 2))
+    return grouped_sorted_apply(decoded, "image_id", ["ts"], per_bucket, num_buckets)
 
 
 def _tile_len(window: int, nperseg: int = None, noverlap: int = None) -> int:

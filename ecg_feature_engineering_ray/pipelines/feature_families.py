@@ -264,14 +264,13 @@ def family_features(
     family: str,
     num_buckets: int = 16,
     explode_labels: bool = True,
-    decode_concurrency=(1, 4),
     channels: tuple = ("v",),
 ) -> Dataset:
     """One row per entity (× caption label when exploded) with the family
     vector — computed per derived channel for the v-based families."""
     names, fn = _FAMILIES[family]
     use_ch = channels if family in _V_FAMILIES else ("v",)
-    decoded = decode_stage(read_events(events_dir), concurrency=decode_concurrency)
+    decoded = decode_stage(read_events(events_dir))
     decoded = decoded.select_columns(["image_id", "ts", "caption", *use_ch])
 
     def per_bucket(tbl: pa.Table) -> pa.Table:
@@ -299,8 +298,7 @@ def family_features(
             cols[colname] = pa.array(mat[:, j], pa.float64())
         return pa.table(cols)
 
-    return grouped_sorted_apply(decoded, "image_id", ["ts"], per_bucket, num_buckets,
-                                pre_shuffle_blocks=max(4, num_buckets // 2))
+    return grouped_sorted_apply(decoded, "image_id", ["ts"], per_bucket, num_buckets)
 
 
 def join_families(
@@ -318,7 +316,7 @@ def join_families(
     extract_LONG.py:46-51 → 1224 columns)."""
     fams = [(f, *_FAMILIES[f]) for f in families]
     need_ch = sorted({"v"} | (set(channels) if any(f in _V_FAMILIES for f in families) else set()))
-    decoded = decode_stage(read_events(events_dir), concurrency=(1, 4))
+    decoded = decode_stage(read_events(events_dir))
     decoded = decoded.select_columns(["image_id", "ts", "caption", *need_ch])
 
     def per_bucket(tbl: pa.Table) -> pa.Table:
@@ -351,8 +349,7 @@ def join_families(
                 cols[colname] = pa.array(mat[:, j], pa.float64())
         return pa.table(cols)
 
-    return grouped_sorted_apply(decoded, "image_id", ["ts"], per_bucket, num_buckets,
-                                pre_shuffle_blocks=max(4, num_buckets // 2))
+    return grouped_sorted_apply(decoded, "image_id", ["ts"], per_bucket, num_buckets)
 
 
 def top_k_features_by_variance(joined: Dataset, k: int = 50) -> list[str]:

@@ -1,8 +1,9 @@
 """Flagship pipeline: point-in-time image feature engineering, end to end.
 
-    read fragments (prune at read)
-      → DecodeValidate actor pool (bytes → derived v; payload leaves here)
-      → union with as-of query points (co-partitioned, ONE shuffle)
+    one task per event fragment: streamed read → decode (bytes → derived
+      v; payload leaves here) → tag (routing key, side)
+      → materialize: one small block per fragment
+      → union with the tagged as-of query points (co-partitioned, ONE shuffle)
       → entity-bucket groupby, per-bucket (entity, ts)-sort
       → monotone as-of merge emitting the PIT_FEATURE vector per query
       → sink: a streamed Dataset (pit_features) or a per-partition
@@ -25,10 +26,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray.data
 from ray.data import Dataset
 
-from ..sources.readers import list_fragments, read_events
+from ..sources.readers import list_fragments, read_events, read_fragments
 from ..stages.asof import SIDE_COL, asof_merge_table
 from ..stages.decode import decode_stage
 from ..stages.partition import (
@@ -39,11 +39,6 @@ from ..stages.partition import (
 )
 from ..state.checkpoint import commit_partition, completed_buckets
 from .features import PIT_FEATURE_NAMES, make_pit_feature_fn
-
-# decode task granularity: mixed image sizes make per-batch cost vary ~16×,
-# so fine batches keep the actor pool load-balanced (coarse 1024-row tasks
-# leave the pool idle behind one slow straggler wave)
-DECODE_BATCH_SIZE = 256
 
 
 def compute_bucket_plan(
@@ -87,7 +82,7 @@ def compute_bucket_plan(
     Returns ``{"plan": {skey → bucket}, "salt": {image_id → k}}``.
     """
     ev_counts = entity_counts(read_events(events_dir, columns=["image_id"]), "image_id")
-    q_counts = entity_counts(ray.data.read_parquet(queries_path, columns=["image_id"]), "image_id")
+    q_counts = entity_counts(read_fragments(queries_path, columns=["image_id"]), "image_id")
     cap = float(sampen_max_n)
 
     def entity_cost(q: int, n: int) -> float:
@@ -205,53 +200,51 @@ def _make_tag_fns(salt: dict):
     return tag_left, tag_right
 
 
+def _tagged_events(events_dir: str, tag_right) -> Dataset:
+    """The event side of the union, staged: one task per event fragment
+    reads it in 256-row batches, decodes them (throughput path: decode +
+    phash content check; the canonical-encoding roundtrip is a test-time
+    invariant, see stages/decode.py) and tags the (image_id, ts, v)
+    projection.  The side's work happens below the union, so the union and
+    the exchange see one small block per fragment.
+
+    Materialized: the tagged rows are ~400x smaller than the input (40 B/row
+    vs KB-scale image bytes) and are exactly the row set the sort barrier
+    must hold anyway, so staging them adds no asymptotic memory and gives the
+    decode and shuffle phases each clean scheduling."""
+    return decode_stage(read_events(events_dir), verify_roundtrip=False,
+                        then=tag_right).materialize()
+
+
 def _pit_plan(
     events_dir: str,
     queries_path: str,
     num_buckets: int,
     cfg: dict,
     sampen_max_n: int,
-    decode_concurrency: int | tuple[int, int],
     commit=None,
     skip_buckets: set[int] | None = None,
     instrument=None,
     stage_times: dict | None = None,
 ) -> Dataset:
-    """The one flagship plan behind both sinks: read → decode → materialize
-    → salted tag/union → per-bucket (entity, ts)-sorted as-of merge.
+    """The one flagship plan behind both sinks: fused read → decode → tag
+    tasks → materialize → union → per-bucket (entity, ts)-sorted as-of merge.
 
     ``cfg`` is a resolved bucket plan (``{"plan", "salt"}``, see
     :func:`compute_bucket_plan`).  With ``commit`` set, each merge task also
     receives its bucket id and returns ``commit(bucket, tbl, merged, t0)``
     instead of the merged table (the checkpointed sink); ``skip_buckets``
     drops completed buckets right after bucket assignment."""
-    events = read_events(events_dir)  # full schema — decode needs bytes
-    # throughput path: decode + phash content check; the canonical-encoding
-    # roundtrip is a test-time invariant (see stages/decode.py)
-    decoded = decode_stage(events, concurrency=decode_concurrency,
-                           batch_size=DECODE_BATCH_SIZE, verify_roundtrip=False)
-    decoded = decoded.select_columns(["image_id", "ts", "v"])
-    # STAGE the decode phase: materialize the projected (payload-free) rows
-    # before the shuffle.  The projection is ~400x smaller than the input
-    # (40 B/row vs KB-scale image bytes) and is exactly the row set the sort
-    # barrier must hold anyway, so this adds no asymptotic memory — and it
-    # lets the actor-pool phase and the shuffle phase each get clean
-    # scheduling (fused streaming measured ~30% slower end-to-end).
-    # ``stage_times`` (observability seam, like ``instrument``): the
-    # materialize() barrier is the natural decode/shuffle boundary, so when a
-    # dict is passed we record the decode phase's wall seconds into it.
+    tag_left, tag_right = _make_tag_fns(cfg.get("salt") or {})
     _t0 = time.time()
-    decoded = decoded.materialize()
-    if stage_times is not None:
+    tagged = _tagged_events(events_dir, tag_right)
+    if stage_times is not None:  # observability seam, like ``instrument``
         stage_times["decode_wall_s"] = time.time() - _t0
 
-    left = ray.data.read_parquet(queries_path)
+    left = read_fragments(queries_path)  # one task per fragment, tag_left fused in
     point_fn = make_pit_feature_fn(sampen_max_n)
-    # tag + align (see stages/asof.py): one shuffle carries both sides
-    tag_left, tag_right = _make_tag_fns(cfg.get("salt") or {})
-    unioned = left.map_batches(tag_left, batch_format="pyarrow", zero_copy_batch=True).union(
-        decoded.map_batches(tag_right, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    # align (see stages/asof.py): one shuffle carries both tagged sides
+    unioned = left.map_batches(tag_left, batch_format="pyarrow", zero_copy_batch=True).union(tagged)
 
     def per_bucket(tbl: pa.Table) -> pa.Table:
         t0 = time.time()
@@ -287,7 +280,7 @@ def pit_features(
     events_dir: str,
     queries_path: str,
     num_buckets: int = 32,
-    decode_concurrency: int | tuple[int, int] = (2, 8),
+    decode_concurrency: int | tuple[int, int] | None = None,
     sampen_max_n: int = 400,
     bucket_plan: dict | None = None,
     instrument=None,
@@ -296,12 +289,13 @@ def pit_features(
     """Streaming Dataset of (image_id, as_of_ts, caption?, features…).
 
     ``bucket_plan`` (from :func:`compute_bucket_plan`) is computed here when
-    not passed."""
+    not passed.  ``decode_concurrency`` is accepted for older callers and
+    sizes nothing: decode runs one task per event fragment, uncapped."""
     if bucket_plan is None:
         bucket_plan = compute_bucket_plan(events_dir, queries_path, num_buckets, sampen_max_n)
     return _pit_plan(
         events_dir, queries_path, num_buckets, bucket_plan, sampen_max_n,
-        decode_concurrency, instrument=instrument, stage_times=stage_times,
+        instrument=instrument, stage_times=stage_times,
     )
 
 
@@ -321,9 +315,10 @@ def pit_features_checkpointed(
     num_buckets: int = 32,
     bucket_plan: dict | None = None,
     sampen_max_n: int = 400,
-    decode_concurrency: int | tuple[int, int] = (2, 8),
+    decode_concurrency: int | tuple[int, int] | None = None,
 ) -> list[dict]:
-    """Same plan with a resumable per-partition sink.
+    """Same plan with a resumable per-partition sink (``decode_concurrency``
+    sizes nothing, as in :func:`pit_features`).
 
     Completed buckets (manifest present) are skipped at the partitioning
     stage; each bucket commits data+manifest atomically from its worker.
@@ -374,7 +369,7 @@ def pit_features_checkpointed(
         return pa.table({"manifest": pa.array([json.dumps(manifest)], pa.string())})
 
     out = _pit_plan(
-        events_dir, queries_path, num_buckets, plan, sampen_max_n, decode_concurrency,
+        events_dir, queries_path, num_buckets, plan, sampen_max_n,
         commit=commit, skip_buckets=completed_buckets(out_dir),
     )
     return [json.loads(r["manifest"]) for r in out.take_all()]

@@ -1981,8 +1981,8 @@ def oversample_by_type(sf_dir: str):
 )
 def resize_thumbnails(sf_dir: str):
     """Multimodal transform: decode → nearest-neighbor resize 16×16 →
-    re-encode (actor-pool map_batches over binary rows; stages/decode.py
-    pattern).  Returns per-image thumbnail byte sizes."""
+    re-encode (actor-pool map_batches over binary rows).  Returns
+    per-image thumbnail byte sizes."""
     from ..functions.codec import decode_image, encode_image, resize_nearest
     from ..sources.readers import read_events
 
@@ -2145,7 +2145,7 @@ def channel_stats(sf_dir: str):
         _pq.write_table(pa.Table.from_pandas(df, preserve_index=False), path + ".tmp")
         os.replace(path + ".tmp", path)
 
-    decoded = decode_stage(read_events(events_dir), concurrency=(1, 4))
+    decoded = decode_stage(read_events(events_dir))
     decoded = decoded.select_columns(["image_id", "ts", "v_r", "v_g", "v_b"])
 
     def per_bucket(tbl: pa.Table) -> pa.Table:
@@ -2173,8 +2173,7 @@ def channel_stats(sf_dir: str):
                 out[f"{st}_{ch}"] = pa.array(cols[f"{st}_{ch}"], pa.float64())
         return pa.table(out)
 
-    return grouped_sorted_apply(decoded, "image_id", ["ts"], per_bucket, NB,
-                                pre_shuffle_blocks=max(4, NB // 2))
+    return grouped_sorted_apply(decoded, "image_id", ["ts"], per_bucket, NB)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Image decode/validate stage — stateful actor pool.
+"""Image decode/validate stage — a stateless batch function run as tasks.
 
-The canonical ``map_batches(Cls, concurrency=N)`` stage: per-actor setup in
-``__init__`` (codec tables, invariant thresholds — the seam where a real
-image library / model would load once per worker, reference analog
-/root/reference/challenge2020/get_model.py:11-17), per-batch vectorized work
-in ``__call__``.
+Decode holds no state, so it runs as plain Ray tasks: :func:`decode_stage`
+maps :func:`decode_batch` with ``batch_size=None`` and no concurrency cap,
+which Ray fuses into the read task.  Over :func:`~..sources.readers.read_events`
+that is one read→decode task per fragment, streaming 256-row batches; the
+image payload never becomes an object-store block, and the decoded output is
+one small block per fragment.
 
 Input: the raw event table (input_hint schema).  Output: the SHUFFLE-SAFE
 projection — ``bytes`` is decoded, validated and REDUCED to derived scalar
@@ -17,11 +18,15 @@ channels here so the image payload never enters a shuffle (SURVEY.md §7.4):
                      channel for multi-channel feature families)
     psnr_ok  — per-row invariant: bitwise roundtrip (png) / PSNR≥40 dB (jpeg)
 
-Rows failing decode are dropped and counted (reference analog: error-index
-accumulators, preprocess-300hz.py:188-288).
+Rows failing decode are dropped; the dropped count is rows in minus rows
+out (reference analog: error-index accumulators,
+preprocess-300hz.py:188-288).
 """
 
 from __future__ import annotations
+
+import functools
+from typing import Callable
 
 import numpy as np
 import pyarrow as pa
@@ -35,96 +40,129 @@ PSNR_MIN_DB = 40.0
 PHASH_MAX_HAMMING_LOSSY = 6  # aHash bits near the mean can flip under quantization
 
 
-class DecodeValidate:
-    """Actor-pool callable: decode ``bytes``, validate invariants, derive v.
+def _blob_views(col: pa.ChunkedArray) -> list[memoryview]:
+    """Zero-copy views of a binary column's values (a null reads as empty,
+    which fails decode like any bad payload) — no per-row bytes copies."""
+    views: list[memoryview] = []
+    for chunk in col.chunks:
+        if len(chunk) == 0:
+            continue
+        _, offsets, data = chunk.buffers()
+        width = np.int64 if pa.types.is_large_binary(chunk.type) else np.int32
+        off = np.frombuffer(offsets, dtype=width)[chunk.offset: chunk.offset + len(chunk) + 1]
+        # Arrow exports signed bytes ('b'); as 'B' a view compares equal to bytes
+        buf = memoryview(data).cast("B") if data is not None else memoryview(b"")
+        views += [buf[a:b] for a, b in zip(off[:-1].tolist(), off[1:].tolist())]
+    return views
+
+
+def decode_batch(
+    batch: pa.Table,
+    verify_roundtrip: bool = True,
+    verify_phash: bool = True,
+    psnr_min_db: float = PSNR_MIN_DB,
+) -> pa.Table:
+    """Decode ``bytes``, validate invariants, derive v; drop undecodable rows.
 
     Per-row checks (input_hint invariants): container decodes; lossless rows
     round-trip bitwise / lossy rows within PSNR bound; the stored ``phash``
     matches the aHash recomputed from the decoded pixels (content-integrity
     check — a corrupted payload with an intact header fails here).
+
+    ``verify_roundtrip`` re-encodes to prove CANONICAL encoding — an extra
+    invariant beyond corruption detection (zlib's adler32 already fails
+    loudly on corrupt payloads at decode).  It costs a full zlib compress per
+    image (>50% of stage CPU), so throughput pipelines disable it and rely on
+    decode + phash content verification (the reference's load path has no
+    roundtrip either, resample.py:10-52).
     """
+    blobs = _blob_views(batch.column("bytes"))
+    fmts = batch.column("fmt").to_pylist()
+    stored_ph = np.asarray(batch.column("phash").combine_chunks())
+    n = batch.num_rows
+    v, vr, vg, vb = (np.empty(n) for _ in range(4))
+    ok = np.zeros(n, dtype=bool)
+    for i, (blob, fmt) in enumerate(zip(blobs, fmts)):
+        try:
+            px, dec_fmt = decode_image(blob)
+            v[i], vr[i], vg[i], vb[i] = derive_scalars(px)
+            if not verify_roundtrip:
+                ok[i] = dec_fmt == fmt
+            elif fmt == "png":
+                # lossless: re-encode must be byte-identical
+                ok[i] = dec_fmt == "png" and encode_image(px, "png") == blob
+            else:
+                # lossy: decode(encode(decode)) within PSNR bound
+                px2, _ = decode_image(encode_image(px, "jpeg"))
+                ok[i] = dec_fmt == "jpeg" and psnr(px, px2) >= psnr_min_db
+            if ok[i] and verify_phash:
+                ph = phash64(px)
+                if fmt == "png":
+                    ok[i] = ph == int(stored_ph[i])
+                else:  # lossy: decoded pixels may flip near-threshold bits
+                    ok[i] = hamming64(ph, int(stored_ph[i])) <= PHASH_MAX_HAMMING_LOSSY
+        except Exception:
+            v[i] = np.nan
+    out = pa.table(
+        {
+            "image_id": batch.column("image_id"),
+            "ts": batch.column("ts"),
+            "caption": batch.column("caption"),
+            "phash": batch.column("phash"),
+            "fmt": batch.column("fmt"),
+            "w": batch.column("w"),
+            "h": batch.column("h"),
+            "v": pa.array(v, pa.float64()),
+            "v_r": pa.array(vr, pa.float64()),
+            "v_g": pa.array(vg, pa.float64()),
+            "v_b": pa.array(vb, pa.float64()),
+            "psnr_ok": pa.array(ok, pa.bool_()),
+        }
+    )
+    keep = ~np.isnan(v)
+    return out if keep.all() else out.filter(pa.array(keep))
+
+
+class DecodeValidate:
+    """:func:`decode_batch` with its options bound, callable on one batch
+    (the in-process codec probes build one directly)."""
 
     def __init__(self, psnr_min_db: float = PSNR_MIN_DB, verify_phash: bool = True,
                  verify_roundtrip: bool = True):
         self.psnr_min_db = psnr_min_db
         self.verify_phash = verify_phash
-        # re-encode roundtrip proves CANONICAL encoding — an extra invariant
-        # beyond corruption detection (zlib's adler32 already fails loudly on
-        # corrupt payloads at decode).  It costs a full zlib compress per
-        # image (>50% of stage CPU), so throughput pipelines disable it and
-        # rely on decode + phash content verification (the reference's load
-        # path has no roundtrip either, resample.py:10-52).
         self.verify_roundtrip = verify_roundtrip
-        self.n_bad = 0  # per-actor error accumulator (emitted in stats stage)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        blobs = batch.column("bytes").to_pylist()
-        fmts = batch.column("fmt").to_pylist()
-        stored_ph = np.asarray(batch.column("phash").combine_chunks())
-        v = np.empty(len(blobs))
-        vr = np.empty(len(blobs))
-        vg = np.empty(len(blobs))
-        vb = np.empty(len(blobs))
-        ok = np.zeros(len(blobs), dtype=bool)
-        for i, (blob, fmt) in enumerate(zip(blobs, fmts)):
-            try:
-                px, dec_fmt = decode_image(blob)
-                v[i], vr[i], vg[i], vb[i] = derive_scalars(px)
-                if not self.verify_roundtrip:
-                    ok[i] = dec_fmt == fmt
-                elif fmt == "png":
-                    # lossless: re-encode must be byte-identical
-                    ok[i] = dec_fmt == "png" and encode_image(px, "png") == blob
-                else:
-                    # lossy: decode(encode(decode)) within PSNR bound
-                    px2, _ = decode_image(encode_image(px, "jpeg"))
-                    ok[i] = dec_fmt == "jpeg" and psnr(px, px2) >= self.psnr_min_db
-                if ok[i] and self.verify_phash:
-                    ph = phash64(px)
-                    if fmt == "png":
-                        ok[i] = ph == int(stored_ph[i])
-                    else:  # lossy: decoded pixels may flip near-threshold bits
-                        ok[i] = hamming64(ph, int(stored_ph[i])) <= PHASH_MAX_HAMMING_LOSSY
-            except Exception:
-                v[i] = np.nan
-                self.n_bad += 1
-        keep = ~np.isnan(v)
-        out = pa.table(
-            {
-                "image_id": batch.column("image_id"),
-                "ts": batch.column("ts"),
-                "caption": batch.column("caption"),
-                "phash": batch.column("phash"),
-                "fmt": batch.column("fmt"),
-                "w": batch.column("w"),
-                "h": batch.column("h"),
-                "v": pa.array(v, pa.float64()),
-                "v_r": pa.array(vr, pa.float64()),
-                "v_g": pa.array(vg, pa.float64()),
-                "v_b": pa.array(vb, pa.float64()),
-                "psnr_ok": pa.array(ok),
-            }
-        )
-        return out.filter(pa.array(keep))
+        return decode_batch(batch, self.verify_roundtrip, self.verify_phash, self.psnr_min_db)
+
+
+def decode_then(batch: pa.Table, then: Callable[[pa.Table], pa.Table],
+                verify_roundtrip: bool = True) -> pa.Table:
+    """Decode one batch and apply ``then`` to the decoded rows."""
+    return then(decode_batch(batch, verify_roundtrip))
 
 
 def decode_stage(
     ds: Dataset,
-    concurrency: int | tuple[int, int] = (2, 8),
-    batch_size: int = 1024,
-    num_cpus: float = 1.0,
+    concurrency: int | tuple[int, int] | None = None,
+    batch_size: int | None = None,
     verify_roundtrip: bool = True,
+    then: Callable[[pa.Table], pa.Table] | None = None,
 ) -> Dataset:
-    """Attach the decode/validate actor pool.  ``batch_size`` bounds the
-    binary payload held per task (~1024 rows × ≤50 KB ≈ 50 MB); the OUTPUT
-    blocks are tiny (bytes dropped), so downstream stages should coalesce
-    before a shuffle (see partition.grouped_sorted_apply pre_shuffle_blocks)."""
-    return ds.map_batches(
-        DecodeValidate,
-        fn_constructor_kwargs={"verify_roundtrip": verify_roundtrip},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=concurrency,
-        batch_size=batch_size,
-        num_cpus=num_cpus,
-    )
+    """Decode the raw event rows of ``ds`` in stateless tasks.
+
+    ``then`` (optional) runs on each decoded batch inside the same task —
+    the flagship tags its event rows there, so only the tagged projection
+    leaves the task.
+
+    ``concurrency`` and ``batch_size`` are accepted for older callers and
+    size nothing: a cap on the map would stop Ray fusing it with the read
+    (fused task maps need equal caps), and so would a batch size (Ray keeps
+    a read apart from a map that re-batches its rows).  The task count
+    follows the input's blocks and a batch is one streamed block — 256 rows
+    over :func:`~..sources.readers.read_events`.
+    """
+    fn = (functools.partial(decode_batch, verify_roundtrip=verify_roundtrip) if then is None
+          else functools.partial(decode_then, then=then, verify_roundtrip=verify_roundtrip))
+    return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)

@@ -161,7 +161,6 @@ def grouped_sorted_apply(
     explicit_map: dict | None = None,
     skip_buckets: set[int] | None = None,
     keep_bucket_col: bool = False,
-    pre_shuffle_blocks: int | None = None,
     **map_groups_kwargs,
 ) -> Dataset:
     """THE core primitive: hash-bucket by entity, sort each bucket, apply.
@@ -175,11 +174,9 @@ def grouped_sorted_apply(
     ``skip_buckets`` drops already-completed partitions right after bucket
     assignment — the resume path (state/checkpoint.py).
 
-    ``pre_shuffle_blocks`` coalesces the bucketed stream into that many
-    blocks before the groupby sort.  Stages that shed big payload columns
-    (e.g. image decode) emit many tiny blocks, and a sort over thousands of
-    KB-sized blocks is dominated by per-block overhead — coalescing first
-    keeps the exchange proportional to data, not block count.
+    The exchange's cost follows the number of input blocks, not the bytes,
+    so feed it few of them: over the image events that is the decode
+    stage's one block per fragment (stages/decode.py), with no repartition.
     """
     bucketed = with_bucket(ds, key, num_buckets, explicit_map=explicit_map)
     if skip_buckets:
@@ -192,8 +189,6 @@ def grouped_sorted_apply(
             return batch.filter(mask)
 
         bucketed = bucketed.map_batches(drop_done, batch_format="pyarrow", zero_copy_batch=True)
-    if pre_shuffle_blocks:
-        bucketed = bucketed.repartition(pre_shuffle_blocks)
     sort_keys = [key] + list(order_by)
 
     def per_bucket(group: pa.Table) -> pa.Table:

@@ -27,9 +27,6 @@ def main() -> int:
     p.add_argument("--out", required=True)
     p.add_argument("--buckets", type=int, default=64)
     p.add_argument("--num-cpus", type=int, default=None)
-    p.add_argument("--decode-actors", type=int, default=None,
-                   help="fixed decode pool size (default: cluster CPUs - 2; "
-                        "autoscaling pools serialize short pipelines)")
     p.add_argument("--backfill", action="append", default=[],
                    help="late fragment path(s): invalidate touched partitions first")
     args = p.parse_args()
@@ -55,14 +52,9 @@ def main() -> int:
         summary["late_rows"] = late_rows_below_watermark(args.out, args.backfill)
         summary["invalidated"] = sorted(invalidate_for_fragments(args.out, args.backfill))
 
-    dec = args.decode_actors
-    if dec is None:
-        dec = max(2, int(ray.cluster_resources().get("CPU", 4)) - 2)
     t0 = time.time()
-    manifests = pit_features_checkpointed(
-        args.events, args.queries, args.out, num_buckets=args.buckets,
-        decode_concurrency=(dec, dec),
-    )
+    manifests = pit_features_checkpointed(args.events, args.queries, args.out,
+                                          num_buckets=args.buckets)
     wall = time.time() - t0
     all_manifests = read_manifests(args.out)
     rows = sum(m["rows"] for m in all_manifests)

@@ -21,7 +21,7 @@ def _run_cli(events_dir: str, queries_path: str, out_dir: str) -> dict:
     proc = subprocess.run(
         [sys.executable, os.path.join(REPO, "scripts", "run_pipeline.py"),
          "--events", events_dir, "--queries", queries_path, "--out", out_dir,
-         "--buckets", "4", "--num-cpus", "4", "--decode-actors", "2"],
+         "--buckets", "4", "--num-cpus", "4"],
         capture_output=True, text=True, timeout=420, cwd=REPO, env=env,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

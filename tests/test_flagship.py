@@ -336,3 +336,60 @@ def test_salting_splits_hot_entity_and_stays_correct(fixture_events, fixture_que
     assert len(e) == len(o)
     for name in PIT_FEATURE_NAMES:
         assert np.allclose(e[name].values, o[name].values, rtol=1e-9, atol=1e-12, equal_nan=True), name
+
+
+@pytest.mark.parametrize("salted", [False, True])
+def test_decode_is_one_fused_task_per_fragment(fixture_events, salted):
+    """The flagship's staged event side is one fused read→decode→tag
+    operator holding at most one block per fragment (a split read leaves
+    many more), and holds exactly the tagged decode of every event row."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    from ecg_feature_engineering_ray.pipelines.flagship import _make_tag_fns, _tagged_events
+    from ecg_feature_engineering_ray.sources.readers import list_fragments
+    from ecg_feature_engineering_ray.stages.decode import decode_batch
+
+    events_dir, manifest = fixture_events
+    _, tag_right = _make_tag_fns({manifest["hot_entity"]: 3} if salted else {})
+    ds = _tagged_events(events_dir, tag_right)
+    assert ds.num_blocks() <= len(list_fragments(events_dir))
+    assert "ReadFragmentStream->MapBatches(decode_then)" in ds.stats()
+    order = [("__skey", "ascending"), ("__ts", "ascending")]
+    got = pa.concat_tables(ray.get(ds.to_arrow_refs())).sort_by(order)
+    want = tag_right(decode_batch(pq.read_table(events_dir), verify_roundtrip=False)).sort_by(order)
+    assert got.equals(want)
+
+
+def test_pit_features_on_one_cpu(engine_result, fixture_events, fixture_queries, tmp_path):
+    """With no decode actor to hold the only CPU, a 1-CPU Ray session runs
+    the whole pipeline, and its output equals the multi-CPU one."""
+    import subprocess
+    import sys
+
+    import pyarrow.parquet as pq
+
+    events_dir, _ = fixture_events
+    out = str(tmp_path / "one_cpu.parquet")
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = (
+        "import ray, pyarrow as pa, pyarrow.parquet as pq\n"
+        "ray.init(address='local', num_cpus=1, include_dashboard=False)\n"
+        "from ecg_feature_engineering_ray.pipelines.flagship import pit_features\n"
+        f"ds = pit_features({events_dir!r}, {fixture_queries!r}, num_buckets=8)\n"
+        "tbl = pa.concat_tables(list(ds.iter_batches(batch_format='pyarrow', batch_size=None)))\n"
+        f"pq.write_table(tbl, {out!r})\n"
+        "ray.shutdown()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=180, cwd=repo, env=dict(os.environ, RAY_ADDRESS="local"))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    key = ["image_id", "as_of_ts"]
+    a = pq.read_table(out).to_pandas().sort_values(key).reset_index(drop=True)
+    b = engine_result.sort_values(key).reset_index(drop=True)
+    assert len(a) == len(b)
+    assert (a.image_id.values == b.image_id.values).all()
+    for name in PIT_FEATURE_NAMES:
+        va, vb = a[name].values, b[name].values
+        assert ((va == vb) | (np.isnan(va) & np.isnan(vb))).all(), name
