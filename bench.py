@@ -36,7 +36,7 @@ PROFILE = os.environ.get("GRAFT_BENCH_PROFILE", "default")
 # cost-model/plan-format version: part of the on-disk plan cache key so a
 # cost-model change invalidates stale cached plans (bump alongside
 # compute_bucket_plan semantics, like _FIXTURE_SCHEMA_V does for fixtures)
-_PLAN_V = 2
+_PLAN_V = 3
 
 # Scaling pair (N→4N CPUs, fresh processes, same input).  Default 2→8
 # (round 5, was 4→16): the raw efficiency of any pair is bounded above by
@@ -61,10 +61,9 @@ PROFILES = {
         "dims": (32, 64, 128),
         "sampen_max_n": 400,
         "run_suite": True,
-        # bucket grid: buckets_per_cpu × CPUs merge tasks (dynamic-balance
-        # granularity); granularity = how many salt atoms per bucket share
+        # bucket grid: buckets_per_cpu × CPUs merge tasks, so the pool can
+        # balance dynamically
         "buckets_per_cpu": 8,
-        "granularity": 4,
     },
     "scaling": {
         "entities": 400,
@@ -91,13 +90,10 @@ PROFILES = {
         "run_suite": False,
         # ONE fixed grid for BOTH arms (see num_buckets resolution in
         # run_suite): 128 buckets = 16 waves at 8 CPUs / 64 at 2 (8 waves
-        # at 16 / 32 at 4 for the override pair), and
-        # the share (≈7.5 k event rows) keeps this fixture's 2400-row
-        # median entities BELOW the salt-atom size, so neither arm pays
-        # replication and both load the identical cached plan file.
+        # at 16 / 32 at 4 for the override pair), and both arms load the
+        # identical cached plan file.
         "num_buckets": 128,
         "buckets_per_cpu": 16,  # unused when num_buckets is pinned
-        "granularity": 2,
     },
 }
 
@@ -365,26 +361,24 @@ def run_suite() -> dict:
     # and CACHED on disk — the scaling rounds re-enter this process 6 times
     # over the same fixture, and the count passes are identical each time
     # A profile may pin ``num_buckets`` outright (the scaling profile does:
-    # both arms must run the SAME plan over the SAME grid, or the finer
-    # wide-arm grid salts this fixture's chunky entities harder and the two
-    # arms no longer execute the same work — measured 2026-08-19: 16-CPU
-    # arm at 16 buckets/CPU merged 3.30 M rows vs the 4-CPU arm's 1.59 M,
-    # a +13.5 % busy-work asymmetry charged to the wide arm's efficiency).
+    # both arms must run the SAME plan over the SAME grid, so the two arms
+    # execute the same per-bucket work — measured 2026-08-19, while the
+    # engine still split hot entities by the grid: a 16-CPU arm at 16
+    # buckets/CPU merged 3.30 M rows vs the 4-CPU arm's 1.59 M, a +13.5 %
+    # busy-work asymmetry charged to the wide arm's efficiency).
     # Production analog: the bucket plan comes from a periodic job and does
     # not change when the cluster is resized.
     num_buckets = prof.get("num_buckets") or max(prof["buckets_per_cpu"] * NUM_CPUS, 64)
     plan_path = os.path.join(
         os.path.dirname(events_dir),
-        f"plan_v{_PLAN_V}_b{num_buckets}_g{prof['granularity']}_n{prof['sampen_max_n']}_q{prof['queries']}.json",
+        f"plan_v{_PLAN_V}_b{num_buckets}_n{prof['sampen_max_n']}_q{prof['queries']}.json",
     )
     if os.path.exists(plan_path):
         with open(plan_path) as f:
             plan = json.load(f)
-        plan["plan"] = {k: int(v) for k, v in plan["plan"].items()} if plan["plan"] is not None else None
-        plan["salt"] = {k: int(v) for k, v in plan["salt"].items()}
+        plan["plan"] = {k: int(v) for k, v in plan["plan"].items()}
     else:
-        plan = compute_bucket_plan(events_dir, queries_path, num_buckets,
-                                   prof["sampen_max_n"], granularity=prof["granularity"])
+        plan = compute_bucket_plan(events_dir, queries_path, num_buckets, prof["sampen_max_n"])
         with open(plan_path + ".tmp", "w") as f:
             json.dump(plan, f)
         os.replace(plan_path + ".tmp", plan_path)

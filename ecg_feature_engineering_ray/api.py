@@ -115,7 +115,7 @@ def extract_features(
     num_buckets: int = 16,
 ) -> Dataset:
     """Run a spec list over the image event table → one row per entity."""
-    decoded = decode_stage(read_events(events_dir))
+    decoded = decode_stage(read_events(events_dir), verify_roundtrip=False)
     decoded = decoded.select_columns(["image_id", "ts", "v"])
     per_bucket, _ = compile_specs(specs)
     return grouped_sorted_apply(decoded, "image_id", ["ts"], per_bucket, num_buckets)

@@ -57,7 +57,7 @@ def corpus_windows(
     shape is constant because every window is zero-padded to ``window``
     first.  ``spec_checksum`` (6-dp tile sum) is the scalar oracle hook."""
     weights = oversample or {}
-    decoded = decode_stage(read_events(events_dir))
+    decoded = decode_stage(read_events(events_dir), verify_roundtrip=False)
     decoded = decoded.select_columns(["image_id", "ts", "v", "caption"])
 
     def per_bucket(tbl: pa.Table) -> pa.Table:

@@ -270,7 +270,7 @@ def family_features(
     vector — computed per derived channel for the v-based families."""
     names, fn = _FAMILIES[family]
     use_ch = channels if family in _V_FAMILIES else ("v",)
-    decoded = decode_stage(read_events(events_dir))
+    decoded = decode_stage(read_events(events_dir), verify_roundtrip=False)
     decoded = decoded.select_columns(["image_id", "ts", "caption", *use_ch])
 
     def per_bucket(tbl: pa.Table) -> pa.Table:
@@ -316,7 +316,7 @@ def join_families(
     extract_LONG.py:46-51 → 1224 columns)."""
     fams = [(f, *_FAMILIES[f]) for f in families]
     need_ch = sorted({"v"} | (set(channels) if any(f in _V_FAMILIES for f in families) else set()))
-    decoded = decode_stage(read_events(events_dir))
+    decoded = decode_stage(read_events(events_dir), verify_roundtrip=False)
     decoded = decoded.select_columns(["image_id", "ts", "caption", *need_ch])
 
     def per_bucket(tbl: pa.Table) -> pa.Table:

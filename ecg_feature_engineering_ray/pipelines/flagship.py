@@ -1,7 +1,7 @@
 """Flagship pipeline: point-in-time image feature engineering, end to end.
 
     one task per event fragment: streamed read → decode (bytes → derived
-      v; payload leaves here) → tag (routing key, side)
+      v; payload leaves here) → tag (side flag)
       → materialize: one small block per fragment
       → union with the tagged as-of query points (co-partitioned, ONE shuffle)
       → entity-bucket groupby, per-bucket (entity, ts)-sort
@@ -46,161 +46,64 @@ def compute_bucket_plan(
     queries_path: str,
     num_buckets: int,
     sampen_max_n: int = 400,
-    max_salt: int = 8,
-    granularity: int = 4,
 ) -> dict:
-    """Cost-balanced bucket plan + hot-key salting from key-column count passes.
+    """Cost-balanced bucket plan from key-column count passes.
 
-    Merge-stage cost model: each query pays O(min(prefix, sampen_cap)²) for
-    the SampEn kernel over its entity's event prefix.  Query times are ~
-    uniform over an entity's history, so the per-query expectation is
-    E[min(prefix, cap)²] = n²/3 below the cap and cap²·(1 − 2·(cap/n)/3)
-    above it — NOT min(n, cap)²: the naive form under-weights long capped
-    entities ~3× relative to short ones, and LPT packs their buckets into
-    stragglers.  This model now OVERSTATES the merge: the SampEn columns of
-    all an entity's queries come from one pair pass
-    (:func:`~..functions.entropy.sampen_hrv_prefixes`), so an entity (or a
-    salt group) costs about min(n, cap)² + q·n, not q·E[min(p, cap)²].
-    Re-deriving it, and deleting salting if LPT alone keeps the buckets
-    even, is the follow-on in ROADMAP direction 1.
+    Merge-stage cost model, priced once per entity: the SampEn columns of all
+    an entity's queries come from ONE pair pass over its capped event series
+    (:func:`~..functions.entropy.sampen_hrv_prefixes`), O(min(n, cap)²); the
+    other feature columns scan each query's prefix, O(q·n); the sort and the
+    exchange move its n rows.  So an entity with n events and q queries costs
+    about min(n, cap)² + q·n + n, and :func:`plan_buckets` LPT-places every
+    entity that costs a quarter of a bucket's share or more.
 
-    Entities whose total cost exceeds a ``1/granularity`` share of a bucket
-    are SALTED: their queries split into k salt groups (``image_id#salt``
-    composite keys) and their events are replicated into every salt group, so
-    no single work atom exceeds ~(bucket fair share)/granularity and LPT can
-    pack the tail tightly — the makespan of the merge stage stays near the
-    mean instead of max-entity-bound.  (Salting to one-bucket granularity
-    keeps single-entity atoms as large as a whole bucket's share; with only
-    a few buckets per CPU the slowest bucket then idles the rest of the
-    pool — measured 15-18 % wall overhead at 8 buckets/CPU.)  Replicated
-    event rows are key+ts+value only (payload long gone), and the re-run
-    per-group prefix scans are O(n) against the O(cap²) kernel they spread.
+    That is the engine's only skew mechanism.  Query-split salting (each
+    query group with its own copy of the entity's events) was removed: the
+    pair pass is shared by all of an entity's queries, so every salt group
+    repeated it, and on the benchmark workloads it only added copied rows
+    (pit_long: 19,002 on a 4,800-row input) while LPT alone kept the buckets
+    even.  An entity heavier than a bucket's share gets a bucket of its own;
+    the merge's makespan is then bound by that entity, not by hash luck.
     In production this is a periodic stats job whose output is reused across
     runs — callers may compute it once and pass ``bucket_plan`` to
     :func:`pit_features`.
 
-    Returns ``{"plan": {skey → bucket}, "salt": {image_id → k}}``.
+    Returns ``{"plan": {image_id → bucket}}``.
     """
     ev_counts = entity_counts(read_events(events_dir, columns=["image_id"]), "image_id")
     q_counts = entity_counts(read_fragments(queries_path, columns=["image_id"]), "image_id")
-    cap = float(sampen_max_n)
-
-    def entity_cost(q: int, n: int) -> float:
-        if n <= 0:
-            return 1.0
-        e2 = n * n / 3.0 if n < cap else cap * cap * (1.0 - 2.0 * (cap / n) / 3.0)
-        return max(q, 1) * e2 + n
-
-    cost_map = {k: entity_cost(q_counts.get(k, 0), n) for k, n in ev_counts.items()}
-    total = sum(cost_map.values())
-    atom_target = total / (num_buckets * max(granularity, 1)) if num_buckets else float("inf")
-    salt: dict = {}
-    salted_cost: dict = {}
-    for k, c in cost_map.items():
-        s = min(max_salt, max(1, int(np.ceil(c / atom_target)))) if atom_target > 0 else 1
-        if s > 1:
-            salt[k] = s
-            for j in range(s):
-                salted_cost[f"{k}#{j}"] = c / s
-        else:
-            salted_cost[k] = c
-    # salting bounds every atom at ~target/granularity, which sits below
-    # plan_buckets' default heavy threshold (0.25 × bucket share) — scale the
-    # threshold down with the atom size or NOTHING gets LPT-placed and the
-    # whole load rides hash luck
-    return {
-        "plan": plan_buckets(
-            salted_cost, num_buckets,
-            heavy_frac=0.25 / max(granularity, 1), cost=lambda c: c,
-        ),
-        "salt": salt,
+    costs = {
+        k: min(n, sampen_max_n) ** 2 + q_counts.get(k, 0) * n + n
+        for k, n in ev_counts.items()
     }
+    return {"plan": plan_buckets(costs, num_buckets)}
 
 
-def _make_tag_fns(salt: dict):
-    """Build the (query-side, event-side) batch-tagging fns for a salt map.
-
-    Salted bucket routing for :func:`_pit_plan`: queries hash-split into k
-    salt groups (``image_id#salt`` composite ``__skey``), events replicated
-    into every group so each salt bucket sees the full event history and
-    per-(entity, as-of) results stay exact while one hot entity's work
-    spreads over k workers."""
-
-    def _salt_k_per_row(id_col: pa.ChunkedArray | pa.Array) -> np.ndarray:
-        """Per-row salt-group count via a LUT over the batch's UNIQUE keys
-        (dictionary-encode → fromiter over the dictionary only — no per-row
-        Python, same trick as partition.with_bucket)."""
-        d = (id_col.combine_chunks() if isinstance(id_col, pa.ChunkedArray) else id_col).dictionary_encode()
-        idx = np.asarray(d.indices)
-        lut = np.fromiter(
-            (salt.get(v, 1) for v in d.dictionary.to_pylist()),
-            dtype=np.int64, count=len(d.dictionary),
-        )
-        return lut[idx]
-
-    def tag_left(b: pa.Table) -> pa.Table:
-        ts = b.column("as_of_ts").cast(pa.timestamp("us"))
-        ids = b.column("image_id")
-        if not salt:
-            skey = ids.cast(pa.string())  # Arrow column reuse — no Python rows
-        else:
-            ids_c = (ids.combine_chunks() if isinstance(ids, pa.ChunkedArray) else ids).cast(pa.string())
-            k = _salt_k_per_row(ids)
-            ts_i = np.asarray(ts.cast(pa.int64()).combine_chunks())
-            mod = np.mod(ts_i, np.maximum(k, 1))
-            salted = pc.binary_join_element_wise(
-                ids_c, pa.array(mod.astype("U"), pa.string()), "#"
-            )
-            skey = pc.if_else(pa.array(k > 1), salted, ids_c)
-        return pa.table(
-            {
-                "__skey": skey,
-                "image_id": ids,
-                "__ts": ts,
-                "v": pa.nulls(b.num_rows, pa.float64()),
-                SIDE_COL: pa.array(np.ones(b.num_rows, np.int8)),
-            }
-        )
-
-    def tag_right(b: pa.Table) -> pa.Table:
-        ids = b.column("image_id")
-        if salt:
-            k = _salt_k_per_row(ids)
-            if (k > 1).any():
-                # replicate each event row into its k salt buckets: one
-                # np.repeat for rows, one modular ramp for the salt index
-                idx = np.repeat(np.arange(len(k)), k)
-                starts = np.cumsum(k) - k
-                j = np.arange(idx.size) - starts[idx]
-                take = pa.array(idx, pa.int64())
-                rep_ids = ids.combine_chunks().take(take)
-                salted = pc.binary_join_element_wise(
-                    rep_ids.cast(pa.string()), pa.array(j.astype("U"), pa.string()), "#"
-                )
-                skey = pc.if_else(pa.array(k[idx] > 1), salted, rep_ids.cast(pa.string()))
-                return pa.table(
-                    {
-                        "__skey": skey,
-                        "image_id": rep_ids,
-                        "__ts": b.column("ts").cast(pa.timestamp("us")).combine_chunks().take(take),
-                        "v": b.column("v").combine_chunks().take(take),
-                        SIDE_COL: pa.array(np.zeros(idx.size, np.int8)),
-                    }
-                )
-        return pa.table(
-            {
-                "__skey": ids.cast(pa.string()),
-                "image_id": ids,
-                "__ts": b.column("ts").cast(pa.timestamp("us")),
-                "v": b.column("v"),
-                SIDE_COL: pa.array(np.zeros(b.num_rows, np.int8)),
-            }
-        )
-
-    return tag_left, tag_right
+def tag_left(b: pa.Table) -> pa.Table:
+    """The query side of the union: as-of points keyed by ``image_id``."""
+    return pa.table(
+        {
+            "image_id": b.column("image_id"),
+            "__ts": b.column("as_of_ts").cast(pa.timestamp("us")),
+            "v": pa.nulls(b.num_rows, pa.float64()),
+            SIDE_COL: pa.array(np.ones(b.num_rows, np.int8)),
+        }
+    )
 
 
-def _tagged_events(events_dir: str, tag_right) -> Dataset:
+def tag_right(b: pa.Table) -> pa.Table:
+    """The event side of the union: the (image_id, ts, v) projection."""
+    return pa.table(
+        {
+            "image_id": b.column("image_id"),
+            "__ts": b.column("ts").cast(pa.timestamp("us")),
+            "v": b.column("v"),
+            SIDE_COL: pa.array(np.zeros(b.num_rows, np.int8)),
+        }
+    )
+
+
+def _tagged_events(events_dir: str) -> Dataset:
     """The event side of the union, staged: one task per event fragment
     reads it in 256-row batches, decodes them (throughput path: decode +
     phash content check; the canonical-encoding roundtrip is a test-time
@@ -230,14 +133,13 @@ def _pit_plan(
     """The one flagship plan behind both sinks: fused read → decode → tag
     tasks → materialize → union → per-bucket (entity, ts)-sorted as-of merge.
 
-    ``cfg`` is a resolved bucket plan (``{"plan", "salt"}``, see
+    ``cfg`` is a resolved bucket plan (``{"plan"}``, see
     :func:`compute_bucket_plan`).  With ``commit`` set, each merge task also
     receives its bucket id and returns ``commit(bucket, tbl, merged, t0)``
     instead of the merged table (the checkpointed sink); ``skip_buckets``
     drops completed buckets right after bucket assignment."""
-    tag_left, tag_right = _make_tag_fns(cfg.get("salt") or {})
     _t0 = time.time()
-    tagged = _tagged_events(events_dir, tag_right)
+    tagged = _tagged_events(events_dir)
     if stage_times is not None:  # observability seam, like ``instrument``
         stage_times["decode_wall_s"] = time.time() - _t0
 
@@ -252,7 +154,7 @@ def _pit_plan(
             bucket = int(tbl.column(BUCKET_COL)[0].as_py())
             tbl = tbl.drop_columns([BUCKET_COL])
         merged = asof_merge_table(
-            tbl, "__skey", "__ts",
+            tbl, "image_id", "__ts",
             aggs={"__cnt": ("v", "count")},
             left_cols=["image_id", "__ts"],
             point_fn=point_fn,
@@ -270,7 +172,7 @@ def _pit_plan(
     # left None.
     fn = instrument(per_bucket) if instrument is not None else per_bucket
     return grouped_sorted_apply(
-        unioned, "__skey", ["__ts", SIDE_COL], fn, num_buckets,
+        unioned, "image_id", ["__ts", SIDE_COL], fn, num_buckets,
         explicit_map=cfg.get("plan"), skip_buckets=skip_buckets,
         keep_bucket_col=commit is not None,
     )
@@ -300,12 +202,9 @@ def pit_features(
 
 
 def _saved_form(bucket_plan: dict) -> dict:
-    """A bucket plan as the run config stores it: ``{"plan", "salt"}`` with
-    int salt counts and empty maps for missing entries."""
-    return {
-        "plan": dict(bucket_plan.get("plan") or {}),
-        "salt": {k: int(v) for k, v in (bucket_plan.get("salt") or {}).items()},
-    }
+    """A bucket plan as the run config stores it: ``{"plan"}``, an empty map
+    when missing."""
+    return {"plan": dict(bucket_plan.get("plan") or {})}
 
 
 def pit_features_checkpointed(
@@ -324,8 +223,8 @@ def pit_features_checkpointed(
     stage; each bucket commits data+manifest atomically from its worker.
     Returns the manifests of THIS run (empty if everything was done).
 
-    The cost-model bucket plan (:func:`compute_bucket_plan` — LPT packing +
-    sub-bucket query-split salting) is computed on the FIRST run (or passed
+    The cost-model bucket plan (:func:`compute_bucket_plan` — LPT packing)
+    is computed on the FIRST run (or passed
     in), persisted in the run config, and reloaded on resume/backfill —
     bucket assignment is invariant across runs even when late fragments
     change the entity counts the plan was derived from.  Passing a

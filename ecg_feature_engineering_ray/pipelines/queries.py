@@ -2145,7 +2145,7 @@ def channel_stats(sf_dir: str):
         _pq.write_table(pa.Table.from_pandas(df, preserve_index=False), path + ".tmp")
         os.replace(path + ".tmp", path)
 
-    decoded = decode_stage(read_events(events_dir))
+    decoded = decode_stage(read_events(events_dir), verify_roundtrip=False)
     decoded = decoded.select_columns(["image_id", "ts", "v_r", "v_g", "v_b"])
 
     def per_bucket(tbl: pa.Table) -> pa.Table:

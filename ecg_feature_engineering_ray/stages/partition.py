@@ -14,17 +14,13 @@ down to the key + order + value columns first (images' ``bytes`` never enter
 the shuffle — see pipelines.flagship).
 
 Hot-key (skew) handling: the reference has no analog (its skew is "the
-longest ECG record just takes longer", SURVEY.md §4).  Two tools, both fed
-by the shuffle-free partial-count pre-pass (:func:`entity_counts`):
-
-1. ``plan_buckets`` — greedy LPT packing of heavy entities into balanced
-   buckets (hash for the light tail), applied through ``explicit_map``;
-2. query-split salting (pipelines/flagship.py) — an entity too heavy for ONE
-   bucket has its queries hash-split into k salt groups with its events
-   replicated into each, so per-(entity, as-of) order statistics stay exact
-   while the work spreads over k workers.  Entity-level order statistics
-   (a single percentile over ALL of one entity's rows) are not mergeable
-   across salts and keep using 1 only.
+longest ECG record just takes longer", SURVEY.md §4).  One tool, fed by the
+shuffle-free partial-count pre-pass (:func:`entity_counts`):
+``plan_buckets`` — greedy LPT packing of the entities that cost a quarter
+of a bucket's share or more onto the least-loaded buckets (hash for the
+light tail), applied through ``explicit_map``.  An entity always lives in
+exactly one bucket, so entity-level order statistics stay exact and a
+bucket id depends only on the key and the plan (:func:`bucket_ids`).
 """
 
 from __future__ import annotations
@@ -40,12 +36,38 @@ from ray.data import Dataset
 from ..functions.hashing import bucket_of_ints, bucket_of_strings
 
 BUCKET_COL = "__bucket"
+# an entity costing this share of a bucket or more is LPT-placed
+HEAVY_FRAC = 0.25
 
 
-def _bucket_ids(col: pa.ChunkedArray, num_buckets: int) -> np.ndarray:
+def bucket_ids(
+    col: pa.Array | pa.ChunkedArray,
+    num_buckets: int,
+    plan: dict | None = None,
+) -> np.ndarray:
+    """Bucket id per row of an entity-key column: the key's bucket in
+    ``plan`` (from :func:`plan_buckets`) when it has one, else the stable
+    hash — ``md5_u64(key) % num_buckets`` for strings, splitmix64 for ints.
+
+    The one routing rule: the shuffle (:func:`with_bucket`) and late-data
+    invalidation (state/backfill.py) both call it."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
     if pa.types.is_integer(col.type):
-        return bucket_of_ints(np.asarray(col.combine_chunks()).astype(np.int64), num_buckets)
-    return bucket_of_strings(col.combine_chunks(), num_buckets)
+        ids = bucket_of_ints(np.asarray(col).astype(np.int64), num_buckets)
+    else:
+        ids = bucket_of_strings(col, num_buckets)
+    if plan:
+        # vectorized override: dictionary-encode → LUT over the UNIQUE keys
+        # only (the skewed-run hot path; no per-row Python)
+        d = col.dictionary_encode()
+        lut = np.fromiter(
+            (plan.get(v, -1) for v in d.dictionary.to_pylist()),
+            dtype=np.int64, count=len(d.dictionary),
+        )
+        mapped = lut[np.asarray(d.indices)]
+        ids = np.where(mapped >= 0, mapped, ids)
+    return ids
 
 
 def with_bucket(
@@ -54,27 +76,11 @@ def with_bucket(
     num_buckets: int,
     explicit_map: dict | None = None,
 ) -> Dataset:
-    """Append an int32 ``__bucket`` column keyed by ``key``.
-
-    ``explicit_map`` (optional, from :func:`plan_buckets`) pins specific keys
-    to specific buckets (cost-balanced packing); unmapped keys fall back to
-    the hash.
-    """
+    """Append an int32 ``__bucket`` column keyed by ``key`` (routed by
+    :func:`bucket_ids`; ``explicit_map`` is its plan)."""
 
     def assign(batch: pa.Table) -> pa.Table:
-        col = batch.column(key)
-        ids = _bucket_ids(col, num_buckets)
-        if explicit_map:
-            # vectorized override: dictionary-encode → LUT over the batch's
-            # UNIQUE keys only (the skewed-run hot path; no per-row Python)
-            d = col.combine_chunks().dictionary_encode()
-            idx = np.asarray(d.indices)
-            lut = np.fromiter(
-                (explicit_map.get(v, -1) for v in d.dictionary.to_pylist()),
-                dtype=np.int64, count=len(d.dictionary),
-            )
-            mapped = lut[idx]
-            ids = np.where(mapped >= 0, mapped, ids)
+        ids = bucket_ids(batch.column(key), num_buckets, explicit_map)
         return batch.append_column(BUCKET_COL, pa.array(ids, pa.int32()))
 
     return ds.map_batches(assign, batch_format="pyarrow", zero_copy_batch=True)
@@ -89,7 +95,7 @@ def entity_counts(ds: Dataset, key: str, max_tracked: int | None = 1_000_000) ->
     lightest keys are evicted and later arrivals of NEW keys inherit the
     largest evicted count as a floor, so every surviving count is an
     OVERESTIMATE by at most that floor.  Overestimates are safe for skew
-    planning (conservative packing/salting); exact counts for the light
+    planning (conservative packing); exact counts for the light
     tail don't matter because the tail rides the hash anyway.  Pass ``None``
     for an exact unbounded map (test-scale cardinalities).
     """
@@ -115,29 +121,23 @@ def entity_counts(ds: Dataset, key: str, max_tracked: int | None = 1_000_000) ->
     return merged
 
 
-def plan_buckets(
-    counts: dict,
-    num_buckets: int,
-    heavy_frac: float = 0.25,
-    cost: "Callable[[int], float] | None" = None,
-) -> dict:
+def plan_buckets(costs: dict, num_buckets: int) -> dict:
     """Greedy LPT packing of heavy entities into balanced buckets.
 
-    Entities whose estimated cost exceeds ``heavy_frac`` × (total/num_buckets)
-    are explicitly placed on the currently least-loaded bucket (largest
-    first); light entities stay on the hash (their law-of-large-numbers sum is
-    already balanced).  Returns {key → bucket}.  This is the engine's answer
-    to hash-luck stragglers: the slowest merge task is capped near the mean
-    instead of ~3× it.
+    ``costs`` maps each entity to its estimated merge cost.  Entities costing
+    at least ``HEAVY_FRAC`` × (total/num_buckets) are explicitly placed on
+    the currently least-loaded bucket (largest first); light entities stay on
+    the hash (their law-of-large-numbers sum is already balanced).  Returns
+    {key → bucket}.  This is the engine's answer to hash-luck stragglers: the
+    slowest merge task is capped near max(mean, heaviest entity) instead of
+    ~3× the mean.
     """
     import heapq  # noqa: PLC0415
 
-    cost_fn = cost or (lambda n: float(n))
-    costs = {k: cost_fn(n) for k, n in counts.items()}
     total = sum(costs.values())
     if total == 0 or num_buckets <= 0:
         return {}
-    threshold = heavy_frac * total / num_buckets
+    threshold = HEAVY_FRAC * total / num_buckets
     heavy = sorted((c, k) for k, c in costs.items() if c >= threshold)
     heavy.reverse()
     # seed heap with the expected hash load of light entities per bucket

@@ -1,12 +1,12 @@
 """Every batch function of the flagship's task maps returns its declared
 schema (the one it returns on rows) on a zero-row batch — with or without
-chunks, salted or not."""
+chunks."""
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from ecg_feature_engineering_ray.pipelines.flagship import _make_tag_fns
+from ecg_feature_engineering_ray.pipelines.flagship import tag_left, tag_right
 from ecg_feature_engineering_ray.sources.readers import list_fragments
 from ecg_feature_engineering_ray.stages.decode import decode_batch, decode_then
 
@@ -21,10 +21,6 @@ def raw_events(fixture_events):
     return pq.read_table(list_fragments(events_dir)[0]).slice(0, 16)
 
 
-def _salts(raw: pa.Table) -> list[dict]:
-    return [{}, {raw.column("image_id")[0].as_py(): 3}]
-
-
 def test_decode_batch_schema_on_empty_batch(raw_events):
     for verify in (False, True):
         want = decode_batch(raw_events, verify_roundtrip=verify).schema
@@ -33,17 +29,13 @@ def test_decode_batch_schema_on_empty_batch(raw_events):
 
 
 def test_decode_then_tag_schema_on_empty_batch(raw_events):
-    for salt in _salts(raw_events):
-        _, tag_right = _make_tag_fns(salt)
-        want = decode_then(raw_events, tag_right, verify_roundtrip=False).schema
-        for empty in _empties(raw_events):
-            assert decode_then(empty, tag_right, verify_roundtrip=False).schema == want
+    want = decode_then(raw_events, tag_right, verify_roundtrip=False).schema
+    for empty in _empties(raw_events):
+        assert decode_then(empty, tag_right, verify_roundtrip=False).schema == want
 
 
-def test_tag_left_schema_on_empty_batch(raw_events, fixture_queries):
+def test_tag_left_schema_on_empty_batch(fixture_queries):
     queries = pq.read_table(fixture_queries)
-    for salt in _salts(raw_events):
-        tag_left, _ = _make_tag_fns(salt)
-        want = tag_left(queries).schema
-        for empty in _empties(queries):
-            assert tag_left(empty).schema == want
+    want = tag_left(queries).schema
+    for empty in _empties(queries):
+        assert tag_left(empty).schema == want

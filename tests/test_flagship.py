@@ -44,6 +44,15 @@ def _aligned(engine: pd.DataFrame, oracle: pd.DataFrame):
     return e, o
 
 
+def _assert_exact(got: pd.DataFrame, want: pd.DataFrame):
+    """Same rows and bit-equal features (NaN matches NaN)."""
+    a, b = _aligned(got, want)
+    assert (a.as_of_ts.values == b.as_of_ts.values).all()
+    for name in PIT_FEATURE_NAMES:
+        va, vb = a[name].values, b[name].values
+        assert ((va == vb) | (np.isnan(va) & np.isnan(vb))).all(), name
+
+
 def test_flagship_matches_oracle(engine_result, oracle_result):
     e, o = _aligned(engine_result, oracle_result)
     for name in PIT_FEATURE_NAMES:
@@ -182,62 +191,44 @@ def test_backfill_late_fragment(fixture_events, fixture_queries, tmp_path):
         assert ((va == vb) | (np.isnan(va) & np.isnan(vb))).all(), name
 
 
-def test_bucket_plan_atoms_bounded_and_placed(fixture_events, fixture_queries):
-    """Plan invariants for the sub-bucket salting: (a) every salted entity's
-    k is ceil(cost/atom_target) capped at max_salt — no atom exceeds
-    ~(bucket share)/granularity, (b) the LPT heavy threshold tracks the atom
-    size so the placement map is NON-empty (a granularity that outruns the
-    threshold silently degrades to hash-luck placement — the bug this
-    guards), (c) k never exceeds max_salt."""
+def test_bucket_plan_places_hot_entity_alone(fixture_events, fixture_queries):
+    """LPT is the only skew mechanism: at a coarse and a fine bucket grid the
+    planted hot entity (30% of rows) is placed, and no other placed entity
+    shares its bucket."""
     from ecg_feature_engineering_ray.pipelines.flagship import compute_bucket_plan
 
     events_dir, manifest = fixture_events
-    for granularity in (1, 4):
-        cfg = compute_bucket_plan(
-            events_dir, fixture_queries, num_buckets=16,
-            max_salt=6, granularity=granularity,
-        )
-        assert all(1 < k <= 6 for k in cfg["salt"].values())
-        assert cfg["plan"], "LPT placement must not be empty when costs vary"
-    # finer granularity ⇒ at least as many entities split, never fewer
-    g1 = compute_bucket_plan(events_dir, fixture_queries, num_buckets=16, granularity=1)
-    g4 = compute_bucket_plan(events_dir, fixture_queries, num_buckets=16, granularity=4)
-    assert set(g1["salt"]) <= set(g4["salt"])
-    assert all(g4["salt"][k] >= v for k, v in g1["salt"].items())
+    hot = manifest["hot_entity"]
+    for num_buckets in (16, 64):
+        cfg = compute_bucket_plan(events_dir, fixture_queries, num_buckets=num_buckets)
+        assert set(cfg) == {"plan"}
+        plan = cfg["plan"]
+        assert hot in plan, f"hot entity not placed at {num_buckets} buckets"
+        assert all(0 <= b < num_buckets for b in plan.values())
+        assert [k for k, b in plan.items() if b == plan[hot]] == [hot]
 
 
 def test_checkpointed_salted_plan_resume_and_balance(
     fixture_events, fixture_queries, oracle_result, tmp_path
 ):
-    """The checkpointed path gets the SAME cost-model salting as the
-    throughput path: plan+salt persist in the run config, the hot entity's
-    work lands in >1 partition (makespan probe), resume reuses the committed
-    plan, and a conflicting plan is rejected like a num_buckets mismatch."""
-    import pyarrow.parquet as pq
-
+    """The checkpointed path gets the SAME cost-model plan as the throughput
+    path: the plan persists in the run config, the output matches the
+    oracle at 64 buckets, resume reuses the committed plan, and a
+    conflicting plan is rejected like a num_buckets mismatch."""
     from ecg_feature_engineering_ray.pipelines.flagship import compute_bucket_plan
     from ecg_feature_engineering_ray.state.backfill import load_run_config
 
     events_dir, manifest = fixture_events
     hot = manifest["hot_entity"]
-    cfg = compute_bucket_plan(events_dir, fixture_queries, num_buckets=64, max_salt=4)
-    assert cfg["salt"].get(hot, 1) > 1, "hot entity must be salted at this bucket count"
+    cfg = compute_bucket_plan(events_dir, fixture_queries, num_buckets=64)
 
-    out_dir = str(tmp_path / "salted")
+    out_dir = str(tmp_path / "planned")
     pit_features_checkpointed(
         events_dir, fixture_queries, out_dir, num_buckets=64, bucket_plan=cfg
     )
     rc = load_run_config(out_dir)
-    assert rc["plan"] and rc["salt"].get(hot, 1) > 1, "plan+salt must persist"
-
-    # makespan probe: the salted hot entity's queries spread over >1 partition
-    hot_parts = 0
-    for f in sorted(os.listdir(out_dir)):
-        if f.endswith(".parquet"):
-            ids = pq.read_table(os.path.join(out_dir, f), columns=["image_id"])
-            if (ids.column("image_id").to_pandas() == hot).any():
-                hot_parts += 1
-    assert hot_parts >= 2, "salting must split the hot entity across partitions"
+    assert rc["plan"] == cfg["plan"] and hot in rc["plan"], "the plan must persist"
+    assert set(rc) == {"num_buckets", "fragments", "plan"}
 
     # values still exact vs the oracle
     key = ["image_id", "as_of_ts"]
@@ -251,7 +242,7 @@ def test_checkpointed_salted_plan_resume_and_balance(
     with pytest.raises(ValueError, match="bucket_plan differs"):
         pit_features_checkpointed(
             events_dir, fixture_queries, out_dir, num_buckets=64,
-            bucket_plan={"plan": {}, "salt": {}},
+            bucket_plan={"plan": {}},
         )
 
     # resume with no plan argument reuses the committed plan: recompute one
@@ -263,16 +254,15 @@ def test_checkpointed_salted_plan_resume_and_balance(
         os.remove(man)
     m2 = pit_features_checkpointed(events_dir, fixture_queries, out_dir, num_buckets=64)
     assert {m["bucket"] for m in m2} == set(victims)
-    a2 = read_output(out_dir).to_pandas().sort_values(key).reset_index(drop=True)
-    for name in PIT_FEATURE_NAMES:
-        va, vb = a2[name].values, a[name].values
-        assert ((va == vb) | (np.isnan(va) & np.isnan(vb))).all(), name
+    _assert_exact(read_output(out_dir).to_pandas(), a)
 
 
-def test_legacy_hot_key_run_config_is_refused(fixture_events, fixture_queries, tmp_path):
-    """A ``_run.json`` that routes hot keys to dedicated buckets (written by
-    engines that still had them) cannot be resumed or backfilled: every
-    reader raises instead of re-routing those rows to the hash."""
+@pytest.mark.parametrize("legacy", ["hot_keys", "salt"])
+def test_legacy_hot_key_run_config_is_refused(fixture_events, fixture_queries, tmp_path, legacy):
+    """A ``_run.json`` that routes hot keys to dedicated buckets or splits
+    them over salted buckets (written by engines that still had them) cannot
+    be resumed or backfilled: every reader raises instead of re-routing
+    those rows to one bucket."""
     import json
 
     from ecg_feature_engineering_ray.state.backfill import (
@@ -282,11 +272,12 @@ def test_legacy_hot_key_run_config_is_refused(fixture_events, fixture_queries, t
     )
 
     events_dir, manifest = fixture_events
+    hot = manifest["hot_entity"]
+    routing = {"hot_keys": [hot]} if legacy == "hot_keys" else {"salt": {hot: 3}}
     out_dir = str(tmp_path / "legacy")
     os.makedirs(out_dir)
     with open(os.path.join(out_dir, RUN_CONFIG), "w") as f:
-        json.dump({"num_buckets": 8, "hot_keys": [manifest["hot_entity"]],
-                   "fragments": [], "plan": {}, "salt": {}}, f)
+        json.dump({"num_buckets": 8, "fragments": [], "plan": {}, **routing}, f)
     frag = os.path.join(events_dir, sorted(os.listdir(events_dir))[0])
     with pytest.raises(ValueError, match="fresh out_dir"):
         pit_features_checkpointed(events_dir, fixture_queries, out_dir, num_buckets=8)
@@ -295,6 +286,36 @@ def test_legacy_hot_key_run_config_is_refused(fixture_events, fixture_queries, t
     with pytest.raises(ValueError, match="fresh out_dir"):
         late_rows_below_watermark(out_dir, [frag])
     assert not completed_buckets(out_dir)
+
+
+def test_run_config_with_empty_salt_resumes(fixture_events, fixture_queries, tmp_path):
+    """A ``_run.json`` written with an empty ``salt`` map next to its plan
+    (engines that could salt wrote one on every run) still resumes: exactly
+    the one victim bucket is recomputed, and the output is unchanged."""
+    import json
+
+    from ecg_feature_engineering_ray.state.backfill import RUN_CONFIG, load_run_config
+
+    events_dir, _ = fixture_events
+    out_dir = str(tmp_path / "empty_salt")
+    pit_features_checkpointed(events_dir, fixture_queries, out_dir, num_buckets=8)
+    full = read_output(out_dir).to_pandas()
+    path = os.path.join(out_dir, RUN_CONFIG)
+    with open(path) as f:
+        rc = json.load(f)
+    assert rc["plan"], "the fixture's hot entity must be placed"
+    with open(path, "w") as f:
+        json.dump({**rc, "salt": {}}, f)
+    assert load_run_config(out_dir)["salt"] == {}
+
+    victims = sorted(completed_buckets(out_dir))[:1]
+    for b in victims:
+        data, man = partition_paths(out_dir, b)
+        os.remove(data)
+        os.remove(man)
+    m2 = pit_features_checkpointed(events_dir, fixture_queries, out_dir, num_buckets=8)
+    assert {m["bucket"] for m in m2} == set(victims)
+    _assert_exact(read_output(out_dir).to_pandas(), full)
 
 
 def test_commit_partition_idempotent_retry(tmp_path):
@@ -317,49 +338,28 @@ def test_commit_partition_idempotent_retry(tmp_path):
         )
 
 
-def test_salting_splits_hot_entity_and_stays_correct(fixture_events, fixture_queries, oracle_result):
-    """Forcing aggressive salting (tiny cost target via huge bucket count)
-    must split the hot entity's queries across salt groups and still match
-    the oracle exactly."""
-    from ecg_feature_engineering_ray.pipelines.flagship import compute_bucket_plan
-
-    events_dir, manifest = fixture_events
-    cfg = compute_bucket_plan(events_dir, fixture_queries, num_buckets=64, max_salt=4)
-    assert cfg["salt"].get(manifest["hot_entity"], 1) > 1, "hot entity must be salted"
-
-    got = pit_features(
-        events_dir, fixture_queries, num_buckets=64, bucket_plan=cfg
-    ).to_pandas()
-    key = ["image_id", "as_of_ts"]
-    e = got.sort_values(key).reset_index(drop=True)
-    o = oracle_result.sort_values(key).reset_index(drop=True)
-    assert len(e) == len(o)
-    for name in PIT_FEATURE_NAMES:
-        assert np.allclose(e[name].values, o[name].values, rtol=1e-9, atol=1e-12, equal_nan=True), name
-
-
-@pytest.mark.parametrize("salted", [False, True])
-def test_decode_is_one_fused_task_per_fragment(fixture_events, salted):
+def test_decode_is_one_fused_task_per_fragment(fixture_events):
     """The flagship's staged event side is one fused read→decode→tag
     operator holding at most one block per fragment (a split read leaves
-    many more), and holds exactly the tagged decode of every event row."""
+    many more), and holds exactly the tagged decode of every event row, one
+    tagged row per decoded event."""
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray
 
-    from ecg_feature_engineering_ray.pipelines.flagship import _make_tag_fns, _tagged_events
+    from ecg_feature_engineering_ray.pipelines.flagship import _tagged_events, tag_right
     from ecg_feature_engineering_ray.sources.readers import list_fragments
     from ecg_feature_engineering_ray.stages.decode import decode_batch
 
-    events_dir, manifest = fixture_events
-    _, tag_right = _make_tag_fns({manifest["hot_entity"]: 3} if salted else {})
-    ds = _tagged_events(events_dir, tag_right)
+    events_dir, _ = fixture_events
+    ds = _tagged_events(events_dir)
     assert ds.num_blocks() <= len(list_fragments(events_dir))
     assert "ReadFragmentStream->MapBatches(decode_then)" in ds.stats()
-    order = [("__skey", "ascending"), ("__ts", "ascending")]
+    order = [("image_id", "ascending"), ("__ts", "ascending")]
     got = pa.concat_tables(ray.get(ds.to_arrow_refs())).sort_by(order)
-    want = tag_right(decode_batch(pq.read_table(events_dir), verify_roundtrip=False)).sort_by(order)
-    assert got.equals(want)
+    decoded = decode_batch(pq.read_table(events_dir), verify_roundtrip=False)
+    assert got.num_rows == decoded.num_rows
+    assert got.equals(tag_right(decoded).sort_by(order))
 
 
 def test_pit_features_on_one_cpu(engine_result, fixture_events, fixture_queries, tmp_path):
