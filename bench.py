@@ -97,91 +97,50 @@ PROFILES = {
     },
 }
 
-SUITE = [
-    "asof_error_features",
-    "user_value_stats",
-    "rr_interval_stats",
-    "session_table",
-    "lag_lead_row",
-    "rolling_mean3",
-    "pricing_summary",
-    "revenue_by_segment",
-    "orders_by_nation",
-    "exact_dedup_docs",
-    "minhash_signatures",
-    "knn_neighbor_counts",
-    "doc_token_stats",
-]
-
-# round-4 additions, timed separately (kept out of `value` so the headline
-# suite wall stays comparable with earlier rounds' BENCH artifacts)
-NEARDUP_SUITE = [
-    "near_dup_pairs",
-    "ngram_jaccard_pairs",
-    "simhash_near_dups",
-    "embedding_near_dups",
-    "phash_near_dups",
-]
-
-# round-4 aggregate classes (hopping windows, KMV distinct sketch,
-# stratified sampling, histogram, per-group top-k) — same separate-block
-# treatment
-SKETCH_SUITE = [
-    "hopping_window_counts",
-    "approx_distinct_kmv",
-    "value_histogram",
-    "stratified_sample_docs",
-    "capped_docs_per_source",
-    "top_docs_per_lang",
-    "value_quantiles_by_type",
-]
-
-# late-round-4 corpus analytics (two-pass TF-IDF, iterative connected-
-# components dedup clustering) — separate block, same rationale
-CORPUS_SUITE = [
-    "tfidf_top_terms",
-    "dup_clusters",
-]
-
-# round-4 join operators (big×big shuffle equi-join, broadcast range join)
-JOIN_SUITE = [
-    "join_late_shipments",
-    "join_priority_revenue",
-    "price_band_revenue",
-]
-
-# round-4 (cont.) relational/ML operators (window ranks, rollup, pivot,
-# forward as-of, grouped mode, funnel, distributed k-means) — same
-# separate-block pattern
-RELML_SUITE = [
-    "rank_events_per_user",
-    "revenue_rollup",
-    "event_type_pivot",
-    "asof_next_event",
-    "top_event_type_per_user",
-    "funnel_signup_purchase",
-    "kmeans_embeddings",
-    "value_decile_assign",
-    "rolling_active_users",
-    "cohort_retention",
-    "events_since_purchase",
-    "asof_nearest_event",
-]
-
-# round-5 additions (grouped z-score, rolling window median, weighted
-# sampling, decontamination, repetition filter, sequence packing) —
-# separate block, same comparability rationale
-R5_SUITE = [
-    "zscore_by_type",
-    "rolling_median7_per_user",
-    "weighted_sample_docs",
-    "decontaminate_docs",
-    "doc_repetition_filter",
-    "pack_sequences",
-    "unigram_logprob_docs",
-    "shuffle_shard_manifest",
-    "pq_codes",
-]
+# block → its queries.  "base" is the headline suite summed into ``value``.
+# Every later block (added in a later round) reports its own
+# "<block>_suite_s" and stays out of ``value``, so the headline suite wall
+# stays comparable with earlier rounds' BENCH artifacts.
+SUITES = {
+    "base": [
+        "asof_error_features", "user_value_stats", "rr_interval_stats",
+        "session_table", "lag_lead_row", "rolling_mean3", "pricing_summary",
+        "revenue_by_segment", "orders_by_nation", "exact_dedup_docs",
+        "minhash_signatures", "knn_neighbor_counts", "doc_token_stats",
+    ],
+    # round 4: near-dup scans
+    "neardup": [
+        "near_dup_pairs", "ngram_jaccard_pairs", "simhash_near_dups",
+        "embedding_near_dups", "phash_near_dups",
+    ],
+    # round 4: hopping windows, KMV distinct sketch, stratified sampling,
+    # histogram, per-group top-k
+    "sketch": [
+        "hopping_window_counts", "approx_distinct_kmv", "value_histogram",
+        "stratified_sample_docs", "capped_docs_per_source", "top_docs_per_lang",
+        "value_quantiles_by_type",
+    ],
+    # round 4: two-pass TF-IDF, iterative connected-components dedup
+    "corpus": ["tfidf_top_terms", "dup_clusters"],
+    # round 4: big×big shuffle equi-join, broadcast range join
+    "join": ["join_late_shipments", "join_priority_revenue", "price_band_revenue"],
+    # round 4: window ranks, rollup, pivot, forward as-of, grouped mode,
+    # funnel, distributed k-means
+    "relml": [
+        "rank_events_per_user", "revenue_rollup", "event_type_pivot",
+        "asof_next_event", "top_event_type_per_user", "funnel_signup_purchase",
+        "kmeans_embeddings", "value_decile_assign", "rolling_active_users",
+        "cohort_retention", "events_since_purchase", "asof_nearest_event",
+    ],
+    # round 5: grouped z-score, rolling median, weighted sampling,
+    # decontamination, repetition filter, packing, unigram LM, shard
+    # manifest, product quantization
+    "r5": [
+        "zscore_by_type", "rolling_median7_per_user", "weighted_sample_docs",
+        "decontaminate_docs", "doc_repetition_filter", "pack_sequences",
+        "unigram_logprob_docs", "shuffle_shard_manifest", "pq_codes",
+    ],
+}
 
 
 def fixture_dirs(prof: dict) -> tuple[str, str]:
@@ -216,11 +175,9 @@ def fixture_dirs(prof: dict) -> tuple[str, str]:
     return events_dir, queries_path
 
 
-def calib_sampen_per_s(target_s: float = 2.0) -> float:
-    """No-Ray calibration kernel: iterations/s of the HRV SampEn kernel over
-    a fixed 1200-sample series.  Recorded in every bench JSON so numbers
-    from different host-load windows can be normalized before round-over-
-    round comparison (this VM drifts ±10-30% between identical runs)."""
+def sampen_count(target_s: float) -> tuple[int, float]:
+    """No-Ray calibration kernel: (iterations, seconds) of the HRV SampEn
+    kernel over a fixed 1200-sample series, run for ``target_s``."""
     import numpy as np
 
     from ecg_feature_engineering_ray.functions.entropy import sampen_hrv
@@ -231,21 +188,15 @@ def calib_sampen_per_s(target_s: float = 2.0) -> float:
     while time.time() - t0 < target_s:
         sampen_hrv(x)
         n += 1
-    return round(n / (time.time() - t0), 2)
+    return n, time.time() - t0
 
 
-def _calib_worker(target_s: float) -> int:
-    import numpy as np
-
-    from ecg_feature_engineering_ray.functions.entropy import sampen_hrv
-
-    x = np.random.default_rng(123).standard_normal(1200)
-    sampen_hrv(x)
-    n, t0 = 0, time.time()
-    while time.time() - t0 < target_s:
-        sampen_hrv(x)
-        n += 1
-    return n
+def calib_sampen_per_s(target_s: float = 2.0) -> float:
+    """Single-core kernel rate (1/s), recorded in every bench JSON so numbers
+    from different host-load windows can be normalized before round-over-
+    round comparison (this VM drifts ±10-30% between identical runs)."""
+    n, secs = sampen_count(target_s)
+    return round(n / secs, 2)
 
 
 def calib_parallel(single_rate: float, workers: int = 8, target_s: float = 2.0) -> dict:
@@ -263,7 +214,7 @@ def calib_parallel(single_rate: float, workers: int = 8, target_s: float = 2.0) 
     try:
         with mp.get_context("spawn").Pool(workers) as p:
             t0 = time.time()
-            counts = p.map(_calib_worker, [target_s] * workers)
+            counts = [n for n, _ in p.map(sampen_count, [target_s] * workers)]
             wall = time.time() - t0
         agg = sum(counts) / max(wall, 1e-9)
         return {
@@ -438,51 +389,11 @@ def run_suite() -> dict:
     decode_wall = stage_times.get("decode_wall_s", 0.0)
     stages = _stage_stats(stage_dir, decode_wall, flagship_s - decode_wall, NUM_CPUS)
 
-    q_times: dict[str, float] = {}
-    nd_times: dict[str, float] = {}
-    sk_times: dict[str, float] = {}
-    cp_times: dict[str, float] = {}
-    jn_times: dict[str, float] = {}
-    rm_times: dict[str, float] = {}
-    r5_times: dict[str, float] = {}
+    times: dict[str, dict[str, float]] = {block: {} for block in SUITES}
     if prof["run_suite"]:
-        for name in SUITE:
-            t0 = time.time()
-            res = QUERIES[name](SF_DIR)
-            # consume the stream fully without materializing to the driver
-            if hasattr(res, "count"):
-                res.count()
-            q_times[name] = round(time.time() - t0, 3)
-        # near-dup scans timed SEPARATELY: they joined the bench in round 4,
-        # so they stay out of `value` to keep the headline suite wall
-        # comparable round-over-round (per-query times are the real signal).
-        for name in NEARDUP_SUITE:
-            t0 = time.time()
-            res = QUERIES[name](SF_DIR)
-            if hasattr(res, "count"):
-                res.count()
-            nd_times[name] = round(time.time() - t0, 3)
-        for name in SKETCH_SUITE:
-            t0 = time.time()
-            res = QUERIES[name](SF_DIR)
-            if hasattr(res, "count"):
-                res.count()
-            sk_times[name] = round(time.time() - t0, 3)
-        for name in CORPUS_SUITE:
-            t0 = time.time()
-            res = QUERIES[name](SF_DIR)
-            if hasattr(res, "count"):
-                res.count()
-            cp_times[name] = round(time.time() - t0, 3)
-        for name in JOIN_SUITE:
-            t0 = time.time()
-            res = QUERIES[name](SF_DIR)
-            if hasattr(res, "count"):
-                res.count()
-            jn_times[name] = round(time.time() - t0, 3)
-        # untimed: build/copy the kmeans oracle parquet OUTSIDE the timed
-        # window (cached per sf_dir — the query itself then pays one file
-        # copy, so relml_suite_s measures the engine, not the oracle)
+        # untimed: build/copy the k-means and PQ oracle parquets OUTSIDE the
+        # timed window (cached per sf_dir — the queries themselves then pay
+        # one file copy, so the suite walls measure the engine, not the oracle)
         from ecg_feature_engineering_ray.pipelines.queries import (
             refresh_kmeans_expected,
             refresh_pq_expected,
@@ -490,32 +401,24 @@ def run_suite() -> dict:
 
         refresh_kmeans_expected(SF_DIR)
         refresh_pq_expected(SF_DIR)
-        for name in RELML_SUITE:
-            t0 = time.time()
-            res = QUERIES[name](SF_DIR)
-            if hasattr(res, "count"):
-                res.count()
-            rm_times[name] = round(time.time() - t0, 3)
-        for name in R5_SUITE:
-            t0 = time.time()
-            res = QUERIES[name](SF_DIR)
-            if hasattr(res, "count"):
-                res.count()
-            r5_times[name] = round(time.time() - t0, 3)
+        for block, names in SUITES.items():
+            for name in names:
+                t0 = time.time()
+                res = QUERIES[name](SF_DIR)
+                # consume the stream fully without materializing to the driver
+                if hasattr(res, "count"):
+                    res.count()
+                times[block][name] = round(time.time() - t0, 3)
 
-    total = round(sum(q_times.values()) + flagship_s, 3)
+    total = round(sum(times["base"].values()) + flagship_s, 3)
     result = {
         "metric": "as-of join + window-feature rows/sec (flagship PIT pipeline) + operator suite wall time",
         "value": total,
         "unit": "sec",
-        "queries": {**q_times, **nd_times, **sk_times, **cp_times, **jn_times,
-                    **rm_times, **r5_times, "flagship_pit": round(flagship_s, 3)},
-        "neardup_suite_s": round(sum(nd_times.values()), 3),
-        "sketch_suite_s": round(sum(sk_times.values()), 3),
-        "corpus_suite_s": round(sum(cp_times.values()), 3),
-        "join_suite_s": round(sum(jn_times.values()), 3),
-        "relml_suite_s": round(sum(rm_times.values()), 3),
-        "r5_suite_s": round(sum(r5_times.values()), 3),
+        "queries": {**{n: t for block in times.values() for n, t in block.items()},
+                    "flagship_pit": round(flagship_s, 3)},
+        **{f"{block}_suite_s": round(sum(t.values()), 3)
+           for block, t in times.items() if block != "base"},
         "sf": SF_DIR,
         "num_cpus": NUM_CPUS,
         "profile": PROFILE,

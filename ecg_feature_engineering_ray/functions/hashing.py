@@ -49,6 +49,31 @@ def md5_u64(s: str) -> int:
     return int.from_bytes(hashlib.md5(s.encode("utf-8")).digest()[:8], "big")
 
 
+def md5_keys(keys, prefix: str = "", n_hex: int = 16) -> np.ndarray:
+    """``int(md5(prefix + str(key)).hexdigest()[:n_hex], 16)`` per key, as
+    uint64 (1 ≤ n_hex ≤ 16) — the row key a DuckDB oracle writes as
+    ``('0x' || substr(md5(concat(prefix, key)), 1, n_hex))``.
+
+    ``keys`` is an Arrow array or a sequence of ints or strings.  Each
+    distinct key is hashed once (dictionary-encode first), then mapped back
+    to its rows.
+    """
+    if not 1 <= n_hex <= 16:
+        raise ValueError(f"n_hex={n_hex} does not fit 64 bits")
+    arr = keys if isinstance(keys, (pa.Array, pa.ChunkedArray)) else pa.array(keys)
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    if len(arr) == 0:
+        return np.zeros(0, dtype=_U64)
+    d = arr.dictionary_encode()
+    uniq = d.dictionary.to_pylist()
+    lut = np.fromiter(
+        (int(hashlib.md5(f"{prefix}{u}".encode()).hexdigest()[:n_hex], 16) for u in uniq),
+        dtype=_U64, count=len(uniq),
+    )
+    return lut[np.asarray(d.indices)]
+
+
 def bucket_of_strings(arr: pa.Array | pa.ChunkedArray, num_buckets: int) -> np.ndarray:
     """Stable bucket ids for a string column.
 

@@ -14,13 +14,12 @@ oversampling is a seeded ``flat_map``.  Nothing materializes on the driver.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pyarrow as pa
 
 from ray.data import Dataset
 
+from ..functions.hashing import md5_keys
 from ..functions.spectral import spectrogram_tiles
 from ..functions.transforms import zero_pad
 from ..sources.readers import read_events
@@ -33,10 +32,6 @@ OVERLAP = 16          # 50% overlap      (≙ OVERLAP_RATIO=0.5)
 TRAIN_FRACTION_BYTE = 204  # md5 first byte < 204/256 ≈ 80% train
 SPEC_NPERSEG = 8      # spectrogram frame length (≙ nperseg=64 @300 Hz)
 SPEC_NOVERLAP = 4     # frame overlap — shared by the tile call AND _tile_len
-
-
-def _split_of(key: str) -> str:
-    return "train" if int(hashlib.md5(f"split|{key}".encode()).hexdigest()[:2], 16) < TRAIN_FRACTION_BYTE else "test"
 
 
 def corpus_windows(
@@ -68,21 +63,23 @@ def corpus_windows(
         out = {"image_id": [], "window_id": [], "label": [], "split": [],
                "n_rows": [], "v_mean": [], "spec_power": [], "spec_checksum": []}
         tiles: list[np.ndarray] = []
-        for s, e in zip(starts, ends):
+        train = md5_keys(ids.take(pa.array(starts, pa.int64())), "split|", 2) < TRAIN_FRACTION_BYTE
+        for s, e, is_train in zip(starts, ends, train):
             eid = ids[s].as_py()
             labels = caps[s].as_py().split(",")
-            split = _split_of(eid)
+            split = "train" if is_train else "test"
             series = v[s:e]
-            for wid, ws, we in fixed_windows(series.size, window, overlap, policy="zero"):
+            wins = list(fixed_windows(series.size, window, overlap, policy="zero"))
+            # deterministic per-(entity, window, label) oversampling draws
+            keys = [f"{eid}|{wid}|{lab}" for wid, _, _ in wins for lab in labels]
+            fracs = (md5_keys(keys, f"{seed}|", 8) / 0xFFFFFFFF).reshape(len(wins), len(labels))
+            for (wid, ws, we), win_fracs in zip(wins, fracs):
                 w = zero_pad(series[ws:we], window)
                 spec = spectrogram_tiles(w, nperseg=SPEC_NPERSEG, noverlap=SPEC_NOVERLAP)
                 flat = np.ascontiguousarray(spec).reshape(-1)
                 csum = float(np.round(flat.sum(), 6))
-                for lab in labels:  # label duplicated per window (:367-403)
+                for lab, frac in zip(labels, win_fracs):  # label duplicated per window (:367-403)
                     reps = weights.get(lab, 1)
-                    # deterministic per-(entity,window,label) oversampling
-                    h = int(hashlib.md5(f"{seed}|{eid}|{wid}|{lab}".encode()).hexdigest()[:8], 16)
-                    frac = h / 0xFFFFFFFF
                     n_copies = int(reps) + (1 if frac < reps - int(reps) else 0)
                     for _ in range(max(n_copies, 0)):
                         out["image_id"].append(eid)

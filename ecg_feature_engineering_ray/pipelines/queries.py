@@ -11,7 +11,10 @@ Registry:  ``QUERIES`` / ``ORACLE`` — consumed by ``__ray_entry__``.
 
 from __future__ import annotations
 
+import hashlib
 import os
+import shutil
+import sys
 from typing import Any, Callable
 
 import numpy as np
@@ -23,6 +26,7 @@ import ray
 import ray.data
 
 from ..functions import text as T
+from ..functions.hashing import md5_keys
 from ..functions.stats import percentiles
 from ..sources.readers import read_table
 from ..stages.asof import asof_join, asof_self_join
@@ -1826,24 +1830,16 @@ def _flagship_expected(events_dir: str, queries_path: str) -> str:
     """Cache the INDEPENDENT numpy oracle's flagship output (tests/oracle.py
     — single-threaded direct formulas, no engine code) as parquet so the
     driver's DuckDB pass can hash-compare the full PIT pipeline."""
-    import pyarrow.parquet as _pq
-
-    path = os.path.join(_FIXTURE_BASE, "expected_flagship.parquet")
-    if not os.path.exists(path):
-        import sys
-
-        sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))))
+    def compute():
         from tests.oracle import ORACLE_FEATURE_NAMES, oracle_pit_features
 
         df = oracle_pit_features(events_dir, queries_path)
         for c in ORACLE_FEATURE_NAMES:
             df[c] = rnd_sig(df[c].to_numpy())
         df["as_of_ts"] = df["as_of_ts"].astype("datetime64[us]")  # engine emits µs
-        tbl = pa.Table.from_pandas(df[["image_id", "as_of_ts"] + ORACLE_FEATURE_NAMES],
-                                   preserve_index=False)
-        _pq.write_table(tbl, path + ".tmp")
-        os.replace(path + ".tmp", path)
-    return path
+        return df[["image_id", "as_of_ts"] + ORACLE_FEATURE_NAMES]
+
+    return _expected_from_oracle(os.path.join(_FIXTURE_BASE, "expected_flagship.parquet"), compute)
 
 
 @register(
@@ -1900,19 +1896,38 @@ def caption_label_counts(sf_dir: str):
     return grouped_agg(exploded, ["label"], {"n_rows": ("*", "count")})
 
 
-def _expected_from_oracle(name: str, compute) -> str:
-    """Cache an independent-oracle DataFrame as parquet under the fixture dir."""
+def _expected_from_oracle(path: str, compute, key: str | None = None) -> str:
+    """Cache an independent oracle's result (``compute()``: a DataFrame or
+    Arrow table, usually from tests/oracle.py) as parquet; returns the cache
+    file.
+
+    ``path`` is the file the registered oracle SQL reads.  Without ``key``
+    the oracle is cached at ``path`` itself (fixture oracles: their input
+    never changes).  With ``key`` (input directory plus config) it is cached
+    once per key, at ``path`` with the key's md5 appended, and that file is
+    copied atomically to ``path`` on every call: the SQL string is fixed at
+    registration and cannot name the input, and the driver runs each query
+    before its SQL, so a sequential gate reads its own input's answer
+    (concurrent gates over different inputs would last-writer-win ``path``).
+    """
     import pyarrow.parquet as _pq
 
-    path = os.path.join(_FIXTURE_BASE, f"expected_{name}.parquet")
-    if not os.path.exists(path):
-        import sys
-
-        sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))))
-        df = compute()
-        _pq.write_table(pa.Table.from_pandas(df, preserve_index=False), path + ".tmp")
+    cached = path
+    if key is not None:
+        cached = f"{path[:-len('.parquet')]}_{hashlib.md5(key.encode()).hexdigest()[:12]}.parquet"
+    if not os.path.exists(cached):
+        repo = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        if repo not in sys.path:  # tests.oracle lives at the repo root
+            sys.path.insert(0, repo)
+        res = compute()
+        if not isinstance(res, pa.Table):
+            res = pa.Table.from_pandas(res, preserve_index=False)
+        _pq.write_table(res, cached + ".tmp")
+        os.replace(cached + ".tmp", cached)
+    if key is not None:
+        shutil.copyfile(cached, path + ".tmp")
         os.replace(path + ".tmp", path)
-    return path
+    return cached
 
 
 @register(
@@ -1933,7 +1948,7 @@ def deep_scores(sf_dir: str):
 
         return oracle_deep_scores(events_dir)
 
-    _expected_from_oracle("deep_scores", _compute)
+    _expected_from_oracle(os.path.join(_FIXTURE_BASE, "expected_deep_scores.parquet"), _compute)
     ds = read_events(events_dir, columns=["image_id", "ts", "bytes"])
     scored = deep_score_stage(ds, concurrency=(1, 4))
 
@@ -1993,7 +2008,7 @@ def resize_thumbnails(sf_dir: str):
 
         return oracle_thumbnails(events_dir)
 
-    _expected_from_oracle("thumbs", _compute)
+    _expected_from_oracle(os.path.join(_FIXTURE_BASE, "expected_thumbs.parquet"), _compute)
     ds = read_events(events_dir, columns=["image_id", "ts", "bytes", "fmt"])
 
     class Thumb:
@@ -2042,23 +2057,19 @@ _FAMILY_ORACLE_V = 2
 def _family_expected(events_dir: str, family: str, channels=("v",)) -> str:
     """Cache the independent direct-formula family oracle (tests/oracle.py
     oracle_family_table) as parquet for the driver's hash compare."""
-    import pyarrow.parquet as _pq
-
     tag = family if channels == ("v",) else family + "_mc"
-    path = os.path.join(_FIXTURE_BASE, f"expected_family_{tag}_v{_FAMILY_ORACLE_V}.parquet")
-    if not os.path.exists(path):
-        import sys
 
-        sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))))
+    def compute():
         from tests.oracle import oracle_family_table
 
         df = oracle_family_table(events_dir, family, channels=channels)
         for c in df.columns:
             if c not in ("image_id", "label"):
                 df[c] = rnd_sig(df[c].to_numpy())
-        _pq.write_table(pa.Table.from_pandas(df, preserve_index=False), path + ".tmp")
-        os.replace(path + ".tmp", path)
-    return path
+        return df
+
+    return _expected_from_oracle(
+        os.path.join(_FIXTURE_BASE, f"expected_family_{tag}_v{_FAMILY_ORACLE_V}.parquet"), compute)
 
 
 def _family_query(family: str):
@@ -2100,17 +2111,16 @@ def features_joined(sf_dir: str):
 
     events_dir, _ = _fixture(sf_dir)
     chans = ("v", "v_r", "v_g", "v_b")
-    path = os.path.join(_FIXTURE_BASE, f"expected_joined_v{_FAMILY_ORACLE_V}.parquet")
-    if not os.path.exists(path):
-        import pyarrow.parquet as _pq
 
+    def compute():
         parts = [pd.read_parquet(_family_expected(events_dir, f, channels=chans if f in ("long", "short") else ("v",)))
                  for f in ("hrv", "long", "qrs", "short")]
         df = parts[0]
         for part in parts[1:]:
             df = df.merge(part, on=["image_id", "label"])
-        _pq.write_table(pa.Table.from_pandas(df, preserve_index=False), path + ".tmp")
-        os.replace(path + ".tmp", path)
+        return df
+
+    _expected_from_oracle(os.path.join(_FIXTURE_BASE, f"expected_joined_v{_FAMILY_ORACLE_V}.parquet"), compute)
     out = join_families(events_dir, ["hrv", "long", "qrs", "short"], num_buckets=NB,
                         channels=chans)
     return out.map_batches(_round_feature_batch, batch_format="pyarrow", zero_copy_batch=True)
@@ -2129,21 +2139,17 @@ def channel_stats(sf_dir: str):
     from ..stages.decode import decode_stage
 
     events_dir, _ = _fixture(sf_dir)
-    path = os.path.join(_FIXTURE_BASE, "expected_channel_stats.parquet")
-    if not os.path.exists(path):
-        import sys
 
-        import pyarrow.parquet as _pq
-
-        sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))))
+    def compute():
         from tests.oracle import oracle_channel_stats
 
         df = oracle_channel_stats(events_dir)
         for c in df.columns:
             if c.startswith(("mean_", "min_", "max_")):
                 df[c] = rnd(df[c].to_numpy())
-        _pq.write_table(pa.Table.from_pandas(df, preserve_index=False), path + ".tmp")
-        os.replace(path + ".tmp", path)
+        return df
+
+    _expected_from_oracle(os.path.join(_FIXTURE_BASE, "expected_channel_stats.parquet"), compute)
 
     decoded = decode_stage(read_events(events_dir), verify_roundtrip=False)
     decoded = decoded.select_columns(["image_id", "ts", "v_r", "v_g", "v_b"])
@@ -2192,17 +2198,11 @@ def channel_stats(sf_dir: str):
 def hash_split_counts(sf_dir: str):
     """O2/O3: deterministic ~80/20 hash split (retry-safe, no RNG state;
     replaces np.random.permutation, preprocess-300hz.py:174-186)."""
-    import hashlib
-
     ds = _events(sf_dir, ["event_id"])
 
     def split(batch: pa.Table) -> pa.Table:
-        ids = batch.column("event_id").to_pylist()
-        names = [
-            "train" if int(hashlib.md5(f"split|{i}".encode()).hexdigest()[:2], 16) < 204 else "test"
-            for i in ids
-        ]
-        return pa.table({"split": pa.array(names, pa.string())})
+        h = md5_keys(batch.column("event_id"), "split|", 2)
+        return pa.table({"split": pa.array(np.where(h < 204, "train", "test"), pa.string())})
 
     tagged = ds.map_batches(split, batch_format="pyarrow", zero_copy_batch=True)
     return grouped_agg(tagged, ["split"], {"n": ("*", "count")})
@@ -2223,28 +2223,15 @@ def refresh_ivf_expected(sf_dir: str, n_lists: int = 16, n_probe: int = 4,
     contract as :func:`refresh_kmeans_expected` (config-hashed cache,
     atomic copy to the static path the registered SQL reads, driver's
     query-before-SQL ordering)."""
-    import hashlib as _hl
-    import shutil as _sh
-
-    import pyarrow.parquet as _pq
-
-    tag = _hl.md5(
-        f"{os.path.abspath(sf_dir)}|{n_lists}|{n_probe}|{k}|{iters}|{_KM_SCALE}".encode()
-    ).hexdigest()[:12]
-    cached = f"/tmp/efr_knn_ivf_expected_{tag}.parquet"
-    if not os.path.exists(cached):
-        import sys as _sys
-
-        _sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))))
+    def compute():
         from tests.oracle import oracle_knn_ivf
 
-        exp = oracle_knn_ivf(sf_dir, n_lists=n_lists, n_probe=n_probe, k=k,
-                             iters=iters, scale=_KM_SCALE)
-        _pq.write_table(pa.Table.from_pandas(exp, preserve_index=False), cached + ".tmp")
-        os.replace(cached + ".tmp", cached)
-    _sh.copyfile(cached, _IVF_EXPECTED + ".tmp")
-    os.replace(_IVF_EXPECTED + ".tmp", _IVF_EXPECTED)
-    return cached
+        return oracle_knn_ivf(sf_dir, n_lists=n_lists, n_probe=n_probe, k=k,
+                              iters=iters, scale=_KM_SCALE)
+
+    return _expected_from_oracle(
+        _IVF_EXPECTED, compute,
+        key=f"{os.path.abspath(sf_dir)}|{n_lists}|{n_probe}|{k}|{iters}|{_KM_SCALE}")
 
 
 @register(
@@ -2264,7 +2251,7 @@ def knn_ivf(sf_dir: str, n_lists: int = 16, n_probe: int = 4, k: int = 5,
     (tests/oracle.oracle_knn_ivf) cached as parquet — the same
     expected-parquet gate as ``kmeans_embeddings``."""
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"]).materialize()
-    C = _lloyd_centroids(ds, n_lists, iters)
+    C = _lloyd_centroids(ds, n_lists, iters)[0]
     Cn = C / np.linalg.norm(C, axis=1, keepdims=True)
     q_ids, Qn = _query_matrix(ds, 3)
     refresh_ivf_expected(sf_dir, n_lists=n_lists, n_probe=n_probe, k=k, iters=iters)
@@ -2428,17 +2415,11 @@ def denoised_value_stats(sf_dir: str):
     grouped stats over the denoised channel — the denoise→aggregate chain of
     extract_HRV (utils.py:66-79 → HRV_features.py:92).  Oracle: independent
     loop-based db6 periodization DWT + adjoint reconstruct (tests/oracle.py),
-    cached as parquet for the sf_dir last run."""
+    cached as parquet per sf_dir."""
     from ..functions.stats import zero_crossings
     from ..functions.wavelet import wt_denoise
 
-    marker = _DENOISE_EXPECTED + ".src"
-    if not (os.path.exists(marker) and open(marker).read() == sf_dir):
-        import sys
-
-        import pyarrow.parquet as _pq
-
-        sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))))
+    def compute():
         from tests.oracle import _o_zero_cross_threshold, oracle_wt_denoise
 
         df = pd.read_parquet(os.path.join(sf_dir, "events.parquet"),
@@ -2448,13 +2429,11 @@ def denoised_value_stats(sf_dir: str):
             d = oracle_wt_denoise(g["value"].to_numpy(dtype=np.float64))
             rows.append((int(uid), float(rnd_sig(np.array([d.std()]))[0]),
                          int(_o_zero_cross_threshold(d))))
-        tbl = pa.table({"user_id": pa.array([r[0] for r in rows], pa.int64()),
-                        "denoised_std": pa.array([r[1] for r in rows], pa.float64()),
-                        "denoised_zero_cross": pa.array([r[2] for r in rows], pa.int64())})
-        _pq.write_table(tbl, _DENOISE_EXPECTED + ".tmp")
-        os.replace(_DENOISE_EXPECTED + ".tmp", _DENOISE_EXPECTED)
-        with open(marker, "w") as f:
-            f.write(sf_dir)
+        return pa.table({"user_id": pa.array([r[0] for r in rows], pa.int64()),
+                         "denoised_std": pa.array([r[1] for r in rows], pa.float64()),
+                         "denoised_zero_cross": pa.array([r[2] for r in rows], pa.int64())})
+
+    _expected_from_oracle(_DENOISE_EXPECTED, compute, key=os.path.abspath(sf_dir))
 
     ds = _events(sf_dir, ["user_id", "ts", "event_id", "value"])
 
@@ -2487,18 +2466,13 @@ def corpus_windows_q(sf_dir: str):
     from .corpus_windows import corpus_windows
 
     events_dir, _ = _fixture(sf_dir)
-    path = os.path.join(_FIXTURE_BASE, "expected_corpus_windows.parquet")
-    if not os.path.exists(path):
-        import sys
 
-        import pyarrow.parquet as _pq
-
-        sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))))
+    def compute():
         from tests.oracle import oracle_corpus_windows
 
-        df = oracle_corpus_windows(events_dir, oversample={"AF": 2, "Normal": 1, "STE": 3})
-        _pq.write_table(pa.Table.from_pandas(df, preserve_index=False), path + ".tmp")
-        os.replace(path + ".tmp", path)
+        return oracle_corpus_windows(events_dir, oversample={"AF": 2, "Normal": 1, "STE": 3})
+
+    _expected_from_oracle(os.path.join(_FIXTURE_BASE, "expected_corpus_windows.parquet"), compute)
     # the pipeline's schema carries the full spec_tile fixed_size_list
     # column (gated value-level in pytest); the driver compare hashes its
     # scalar spec_checksum alongside the other columns
@@ -2517,21 +2491,17 @@ def custom_featurespec(sf_dir: str):
     from ..api import FeatureSpec, extract_features
 
     events_dir, _ = _fixture(sf_dir)
-    path = os.path.join(_FIXTURE_BASE, "expected_featurespec.parquet")
-    if not os.path.exists(path):
-        import sys
 
-        import pyarrow.parquet as _pq
-
-        sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))))
+    def compute():
         from tests.oracle import oracle_custom_featurespec
 
         df = oracle_custom_featurespec(events_dir)
         for c in df.columns:
             if c != "image_id":
                 df[c] = rnd_sig(df[c].to_numpy())
-        _pq.write_table(pa.Table.from_pandas(df, preserve_index=False), path + ".tmp")
-        os.replace(path + ".tmp", path)
+        return df
+
+    _expected_from_oracle(os.path.join(_FIXTURE_BASE, "expected_featurespec.parquet"), compute)
     specs = [
         FeatureSpec("v_mean", lambda s: s["v"].mean()),
         FeatureSpec("v_p90", lambda s: np.percentile(s["v"], 90)),
@@ -3315,17 +3285,11 @@ def bernoulli_sample_docs(sf_dir: str, rate: float = 0.1, seed: str = "sample"):
     md5(seed|doc_id) — retry-safe (no RNG state, same rows survive a task
     retry), the sampling dual of the oversampling and hash-split operators
     (replaces np.random row sampling, preprocess-300hz.py:315-341)."""
-    import hashlib
-
     ds = read_table(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
     cut = int(np.floor(rate * 65536 + 0.5))  # 6554 at 10% — matches the SQL literal
 
     def keep(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        mask = pa.array(
-            [int(hashlib.md5(f"{seed}|{i}".encode()).hexdigest()[:4], 16) < cut for i in ids]
-        )
-        return batch.filter(mask)
+        return batch.filter(pa.array(md5_keys(batch.column("doc_id"), f"{seed}|", 4) < cut))
 
     sampled = ds.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
     return grouped_agg(sampled, ["lang"],
@@ -3443,8 +3407,6 @@ def approx_distinct_kmv(sf_dir: str, k: int = _KMV_K):
     k smallest", expressed on the same grouped-sorted spine as every other
     per-key operator.  Estimator: (k-1) / kth-smallest-normalized-hash,
     exact when distinct < k."""
-    import hashlib
-
     ds = _events(sf_dir, ["event_type", "value"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -3455,11 +3417,7 @@ def approx_distinct_kmv(sf_dir: str, k: int = _KMV_K):
                       "c": pa.array(cents)})
         uniq = t.group_by(["event_type", "c"]).aggregate([])
         ets = np.asarray(uniq.column("event_type").to_pandas(), dtype=object)
-        cs = uniq.column("c").to_pylist()
-        hs = np.fromiter(
-            (int(hashlib.md5(str(c).encode()).hexdigest()[:15], 16) for c in cs),
-            dtype=np.uint64, count=len(cs),
-        )
+        hs = md5_keys(uniq.column("c"), "", 15)
         keep_et, keep_h = [], []
         for et in np.unique(ets):
             g = hs[ets == et]
@@ -3526,21 +3484,16 @@ def stratified_sample_docs(sf_dir: str, seed: str = "strat"):
     (retry-safe, no RNG state); the rate table is a broadcast-size constant
     resolved per row with a vectorized dictionary lookup, so adding strata
     never adds a shuffle."""
-    import hashlib
-
     ds = read_table(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
     cuts = {lang: int(np.floor(r * 65536 + 0.5)) for lang, r in _STRAT_RATES.items()}
     default_cut = int(np.floor(_STRAT_DEFAULT * 65536 + 0.5))
 
     def keep(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        langs = batch.column("lang").to_pylist()
-        mask = pa.array([
-            int(hashlib.md5(f"{seed}|{i}".encode()).hexdigest()[:4], 16)
-            < cuts.get(lang, default_cut)
-            for i, lang in zip(ids, langs)
-        ])
-        return batch.filter(mask)
+        langs = batch.column("lang").combine_chunks().dictionary_encode()
+        lut = np.array([cuts.get(lang, default_cut) for lang in langs.dictionary.to_pylist()],
+                       dtype=np.uint64)
+        h = md5_keys(batch.column("doc_id"), f"{seed}|", 4)
+        return batch.filter(pa.array(h < lut[np.asarray(langs.indices)]))
 
     sampled = ds.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
     return grouped_agg(sampled, ["lang"],
@@ -3786,18 +3739,11 @@ def capped_docs_per_source(sf_dir: str, k: int = _CAP_K):
     each block pre-prunes to ≤k rows per source inside map_batches, so the
     exchange is O(sources-per-block × k) — a hot domain with 10⁹ pages
     ships k rows per block, never its page list."""
-    import hashlib
-
     ds = read_table(sf_dir, "documents",
                     columns=["doc_id", "lang", "source", "n_chars"])
 
     def hashes(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        h = np.fromiter(
-            (int(hashlib.md5(f"cap|{i}".encode()).hexdigest()[:15], 16) for i in ids),
-            dtype=np.uint64, count=len(ids),
-        )
-        return batch.append_column("__h", pa.array(h))
+        return batch.append_column("__h", pa.array(md5_keys(batch.column("doc_id"), "cap|", 15)))
 
     hashed = ds.map_batches(hashes, batch_format="pyarrow", zero_copy_batch=True)
     out = per_group_top_k(hashed, "source", ["__h", "doc_id"], k, NB,
@@ -3863,6 +3809,45 @@ def _doc_term_counts(batch: pa.Table) -> pa.Table:
     })
 
 
+def _vocab(ds, count: tuple[str, str], max_vocab: int):
+    """Pass 1 of the corpus-model queries: the vocabulary as ``(terms, n)``
+    — a term-sorted string array put in the object store and its int64
+    counts — or None when the corpus has no term.
+
+    ``count`` is the per-batch aggregate over :func:`_doc_term_counts`
+    rows: ``("doc_id", "count")`` gives document frequencies, ``("cnt",
+    "sum")`` term counts.  Per-batch partial counts collapse to (term,
+    partial) rows and ONE vocabulary-sized ``groupby(term).sum`` exchange
+    merges them: O(vocab × blocks) rows ship, never a token stream (a
+    document never spans batches, so partials sum exactly).  The model is
+    broadcast to pass 2, so the vocabulary must fit a worker heap: more than
+    ``max_vocab`` terms fails loud.  Sorting by term makes ``index_in``
+    positions double as lexicographic term ranks."""
+    col, fn = count
+
+    def partials(batch: pa.Table) -> pa.Table:
+        g = _doc_term_counts(batch).group_by("term").aggregate([count])
+        return pa.table({"term": g.column("term"), "n": g.column(f"{col}_{fn}").cast(pa.int64())})
+
+    vds = ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True) \
+            .groupby("term").sum("n").materialize()
+    n_vocab = vds.count()
+    if n_vocab > max_vocab:
+        raise ValueError(
+            f"vocabulary {n_vocab} exceeds the broadcast bound max_vocab="
+            f"{max_vocab}: route pass 2 through a token-keyed shuffle join "
+            "instead of the model broadcast"
+        )
+    # a groupby output can contain zero-row blocks whose schema is empty —
+    # concat only the populated ones
+    parts = [t for t in ray.get(vds.to_arrow_refs()) if t.num_rows]
+    if not parts:
+        return None
+    vocab = pa.concat_tables(parts).sort_by("term")
+    return (ray.put(vocab.column("term").combine_chunks()),
+            vocab.column("sum(n)").combine_chunks().to_numpy(zero_copy_only=False))
+
+
 _TFIDF_K = 3
 _TFIDF_MAX_VOCAB = 4_000_000
 
@@ -3902,11 +3887,8 @@ def tfidf_top_terms(sf_dir: str, k: int = _TFIDF_K,
     Two passes over the corpus, Spark-MLlib-shaped (fit IDF, then
     transform):
 
-    1. **Document frequency** — per-batch distinct-terms-per-doc
-       (hash-aggregate) collapse to (term, partial-df) rows, then ONE
-       vocabulary-sized ``groupby(term).sum`` exchange: O(vocab × blocks)
-       rows ship, never a token stream.  A document never spans batches,
-       so partial dfs sum exactly.
+    1. **Document frequency** — :func:`_vocab` counts the documents
+       holding each term: one vocabulary-sized exchange.
     2. **Score + select** — the finished (term → df) map is broadcast once
        (``ray.put``, zero-copy read per task) and each batch computes
        tf·idf and its own per-document top-k entirely locally: per-doc
@@ -3921,53 +3903,22 @@ def tfidf_top_terms(sf_dir: str, k: int = _TFIDF_K,
     exactly: ``(cnt / n_live) * ln(n_docs / df)`` in float64."""
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     n_docs = float(ds.count())
-
-    def df_partials(batch: pa.Table) -> pa.Table:
-        g = _doc_term_counts(batch)
-        d = g.group_by("term").aggregate([("doc_id", "count")])
-        return pa.table({
-            "term": d.column("term"),
-            "df_part": d.column("doc_id_count").cast(pa.int64()),
-        })
-
-    df_ds = (
-        ds.map_batches(df_partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("term").sum("df_part").materialize()
-    )
-    n_vocab = df_ds.count()
-    if n_vocab > max_vocab:
-        raise ValueError(
-            f"vocabulary {n_vocab} exceeds the broadcast bound max_vocab="
-            f"{max_vocab}: route pass 2 through the token-keyed shuffle join "
-            "instead of the IDF broadcast"
-        )
-    # a groupby output can contain zero-row blocks whose schema is empty —
-    # concat only the populated ones (sf0.1 @ 32 cpus hit this)
-    vocab_parts = [t for t in ray.get(df_ds.to_arrow_refs()) if t.num_rows]
-    if not vocab_parts:
-        return ray.data.from_arrow(pa.table({
-            "doc_id": pa.array([], pa.int64()),
-            "term": pa.array([], pa.string()),
-            "tfidf": pa.array([], pa.float64()),
-            "term_rank": pa.array([], pa.int64()),
-        }))
-    # term-SORTED vocab: index_in positions double as lexicographic term
-    # ranks, so the per-batch top-k tie-break is pure-numeric lexsort (no
-    # pandas / object-dtype comparisons in the scale path)
-    vocab = pa.concat_tables(vocab_parts).sort_by("term")
-    terms_ref = ray.put(vocab.column("term").combine_chunks())
-    df_ref = ray.put(
-        vocab.column("sum(df_part)").combine_chunks().to_numpy(zero_copy_only=False)
-        .astype(np.float64)
-    )
+    empty = pa.table({"doc_id": pa.array([], pa.int64()),
+                      "term": pa.array([], pa.string()),
+                      "tfidf": pa.array([], pa.float64()),
+                      "term_rank": pa.array([], pa.int64())})
+    vocab = _vocab(ds, ("doc_id", "count"), max_vocab)
+    if vocab is None:
+        return ray.data.from_arrow(empty)
+    # the term-sorted vocab makes the per-batch top-k tie-break a
+    # pure-numeric lexsort (no object-dtype comparisons in the scale path)
+    terms_ref, dfc = vocab
+    df_ref = ray.put(dfc.astype(np.float64))
 
     def score_topk(batch: pa.Table) -> pa.Table:
         g = _doc_term_counts(batch)
         if g.num_rows == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "term": pa.array([], pa.string()),
-                             "tfidf": pa.array([], pa.float64()),
-                             "term_rank": pa.array([], pa.int64())})
+            return empty
         doc = np.asarray(g.column("doc_id").combine_chunks()).astype(np.int64)
         cnt = np.asarray(g.column("cnt").combine_chunks()).astype(np.float64)
         _, inv = np.unique(doc, return_inverse=True)
@@ -4709,38 +4660,22 @@ def _lloyd_assign(batch: pa.Table, codebooks: np.ndarray, code_cols: list[str],
 
 
 def refresh_kmeans_expected(sf_dir: str, k: int = _KM_K, iters: int = _KM_ITERS) -> str:
-    """(Re)build the independent k-means oracle parquet for this config.
+    """(Re)build the independent k-means oracle parquet for this config;
+    returns the cache file.
 
-    The single-threaded pandas oracle (tests/oracle.oracle_kmeans) is CACHED
-    per (sf_dir, k, iters) under a config-hashed path — recomputing it inside
-    ``kmeans_embeddings`` every call put oracle CPU + parquet I/O inside
-    bench's timed window (round-4 ADVICE).  The cached file is then
-    atomically copied to the static ``_KM_EXPECTED`` path the registered
-    oracle SQL reads (the SQL string is fixed at registration, so it cannot
-    embed sf_dir; the query-before-SQL ordering of the driver's gate makes
-    the copy race-free for sequential gates — concurrent gates over
-    DIFFERENT sf_dirs would last-writer-win the static path, each right
-    before its own SQL run).  bench.py calls this untimed before the RELML
-    block so the timed query measures only the engine."""
-    import hashlib as _hl
-    import shutil as _sh
-
-    import pyarrow.parquet as _pq
-
-    tag = _hl.md5(f"{os.path.abspath(sf_dir)}|{k}|{iters}|{_KM_SCALE}".encode()).hexdigest()[:12]
-    cached = f"/tmp/efr_kmeans_expected_{tag}.parquet"
-    if not os.path.exists(cached):
-        import sys as _sys
-
-        _sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))))
+    The single-threaded oracle (tests/oracle.oracle_kmeans) is cached per
+    (sf_dir, k, iters) and copied to the static ``_KM_EXPECTED`` path the
+    registered SQL reads (:func:`_expected_from_oracle`), so
+    ``kmeans_embeddings`` pays a file copy, not the oracle, inside a timed
+    window.  bench.py and perfbench's query_mix call this untimed before
+    their timed passes."""
+    def compute():
         from tests.oracle import oracle_kmeans
 
-        exp = oracle_kmeans(sf_dir, k=k, iters=iters, scale=_KM_SCALE)
-        _pq.write_table(pa.Table.from_pandas(exp, preserve_index=False), cached + ".tmp")
-        os.replace(cached + ".tmp", cached)
-    _sh.copyfile(cached, _KM_EXPECTED + ".tmp")
-    os.replace(_KM_EXPECTED + ".tmp", _KM_EXPECTED)
-    return cached
+        return oracle_kmeans(sf_dir, k=k, iters=iters, scale=_KM_SCALE)
+
+    return _expected_from_oracle(_KM_EXPECTED, compute,
+                                 key=f"{os.path.abspath(sf_dir)}|{k}|{iters}|{_KM_SCALE}")
 
 
 @register(
@@ -4768,8 +4703,7 @@ def kmeans_embeddings(sf_dir: str, k: int = _KM_K, iters: int = _KM_ITERS):
     # store once (Spark-style cache; Ray spills blocks if it outgrows memory)
     # instead of re-reading parquet on every Lloyd pass.
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"]).materialize()
-    C = _lloyd_centroids(ds, k, iters)
-    cref = ray.put(C[None])
+    cref = ray.put(_lloyd_centroids(ds, k, iters))
 
     def assign_out(batch: pa.Table) -> pa.Table:
         return _lloyd_assign(batch, ray.get(cref), ["cluster"], "dist_sq")
@@ -4782,45 +4716,52 @@ def kmeans_embeddings(sf_dir: str, k: int = _KM_K, iters: int = _KM_ITERS):
     return ds.map_batches(assign_out, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _lloyd_centroids(ds, k: int, iters: int) -> np.ndarray:
-    """Distributed exact fixed-point Lloyd training → (k, d) centroid matrix.
+def _lloyd_centroids(ds, k: int, iters: int, m: int = 1) -> np.ndarray:
+    """Distributed exact fixed-point Lloyd training → (m, k, d/m) codebooks,
+    codebook mi over embedding dims [mi·d/m, (mi+1)·d/m).
 
-    The training loop of ``kmeans_embeddings``, factored out so the IVF
-    index (``knn_ivf``) trains its list centroids from the same clustering
-    step instead of using raw vectors.  Per pass: one streaming map emits
-    ≤ k×(d+1) fixed-point sufficient-statistic rows per batch, one tiny
-    ``groupby.sum`` reduces, centroids update as Σ rint(x·2²⁰)/(n·2²⁰) —
-    exact integer arithmetic, so the result is independent of block count
-    and reproducible by the single-threaded oracle twin."""
+    m = 1 is k-means (``kmeans_embeddings``, and the IVF list centroids of
+    ``knn_ivf``); m > 1 trains ``pq_codes``' subspace codebooks together.
+    Every codebook starts from the vectors with ids 0..k-1.  Per pass: one
+    streaming map emits ≤ m×k×(d/m+1) fixed-point sufficient-statistic rows
+    per batch (:func:`_lloyd_partials`), one tiny ``groupby.sum`` reduces,
+    and centroids update as Σ rint(x·2²⁰)/(n·2²⁰) — exact integer
+    arithmetic, so the result is independent of block count and
+    reproducible by the single-threaded oracle twins.  Empty clusters keep
+    their previous centroid."""
     init = ds.filter(expr=f"vec_id < {k}").take_all()
     if len(init) != k:  # fail-loud: sparse ids would silently diverge from
         # the oracle's searchsorted init (same contract as _guard_oracle_cap)
-        raise ValueError(f"kmeans init expects vec_ids 0..{k - 1}; found {len(init)} rows")
+        raise ValueError(f"Lloyd init expects vec_ids 0..{k - 1}; found {len(init)} rows")
     init.sort(key=lambda r: r["vec_id"])
-    C = np.stack([np.asarray(r["embedding"], dtype=np.float64) for r in init])
-    d = C.shape[1]
+    X0 = np.stack([np.asarray(r["embedding"], dtype=np.float64) for r in init])
+    if X0.shape[1] % m:
+        raise ValueError(f"embedding dim {X0.shape[1]} not divisible by m={m} subspaces")
+    dsub = X0.shape[1] // m
+    codebooks = np.stack([X0[:, mi * dsub:(mi + 1) * dsub] for mi in range(m)])
 
     for _ in range(iters):
-        cref = ray.put(C[None])
+        cref = ray.put(codebooks)
 
         def partials(batch: pa.Table) -> pa.Table:
             return _lloyd_partials(batch, ray.get(cref))
 
         stats = ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True) \
                   .groupby("key").sum("s").take_all()
-        sums = np.zeros((k, d), dtype=np.int64)
-        cnts = np.zeros(k, dtype=np.int64)
+        sums = np.zeros((m, k, dsub), dtype=np.int64)
+        cnts = np.zeros((m, k), dtype=np.int64)
         for r in stats:
-            cl, slot = divmod(int(r["key"]), d + 1)
+            mi, rest = divmod(int(r["key"]), k * (dsub + 1))
+            cl, slot = divmod(rest, dsub + 1)
             if slot == 0:
-                cnts[cl] = r["sum(s)"]
+                cnts[mi, cl] = r["sum(s)"]
             else:
-                sums[cl, slot - 1] = r["sum(s)"]
+                sums[mi, cl, slot - 1] = r["sum(s)"]
         nz = cnts > 0
-        C = C.copy()
-        C[nz] = sums[nz] / (cnts[nz, None] * _KM_SCALE)
+        codebooks = codebooks.copy()
+        codebooks[nz] = sums[nz] / (cnts[nz, None] * _KM_SCALE)
 
-    return C
+    return codebooks
 
 
 @register(
@@ -5732,8 +5673,6 @@ def weighted_sample_docs(sf_dir: str, n: int = 20):
     standard size-weighted corpus subsample.  Distributed as block-local
     top-n pre-prune + one O(blocks × n) merge on the per_group_top_k
     spine (single synthetic group) — never a global sort."""
-    import hashlib as _hl
-
     ds = read_table(sf_dir, "documents", columns=["doc_id", "n_chars"])
 
     def keyed(batch: pa.Table) -> pa.Table:
@@ -5741,10 +5680,7 @@ def weighted_sample_docs(sf_dir: str, n: int = 20):
         w = np.asarray(batch.column("n_chars").combine_chunks()).astype(np.float64)
         m = w > 0
         ids, w = ids[m], w[m]
-        u = np.fromiter(
-            (int(_hl.md5(f"ws|{i}".encode()).hexdigest()[:13], 16) for i in ids),
-            dtype=np.float64, count=ids.size,
-        ) / float(1 << 52)
+        u = md5_keys(pa.array(ids), "ws|", 13).astype(np.float64) / float(1 << 52)
         k = np.power(u, 1.0 / w)
         return pa.table({
             "doc_id": pa.array(ids),
@@ -6129,35 +6065,16 @@ def unigram_logprob_docs(sf_dir: str, max_vocab: int = _LM_MAX_VOCAB):
     Vocabulary must fit a worker heap (fail-loud ``max_vocab``, same
     contract as tfidf); per-doc sums stay < 2⁵³ for docs ≤ ~400 k tokens."""
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def cnt_partials(batch: pa.Table) -> pa.Table:
-        g = _doc_term_counts(batch)
-        d = g.group_by("term").aggregate([("cnt", "sum")])
-        return pa.table({"term": d.column("term"),
-                         "c_part": d.column("cnt_sum").cast(pa.int64())})
-
-    cds = (
-        ds.map_batches(cnt_partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("term").sum("c_part").materialize()
-    )
-    n_vocab = cds.count()
-    if n_vocab > max_vocab:
-        raise ValueError(
-            f"vocabulary {n_vocab} exceeds the broadcast bound max_vocab="
-            f"{max_vocab}: route pass 2 through a token-keyed shuffle join"
-        )
-    parts = [t for t in ray.get(cds.to_arrow_refs()) if t.num_rows]
     empty = pa.table({"doc_id": pa.array([], pa.int64()),
                       "n_tokens": pa.array([], pa.int64()),
                       "avg_logprob": pa.array([], pa.float64())})
-    if not parts:
+    vocab = _vocab(ds, ("cnt", "sum"), max_vocab)
+    if vocab is None:
         return ray.data.from_arrow(empty)
-    vocab = pa.concat_tables(parts).sort_by("term")
-    c = vocab.column("sum(c_part)").combine_chunks().to_numpy(zero_copy_only=False) \
-             .astype(np.float64)
+    terms_ref, c = vocab
+    c = c.astype(np.float64)
     v = np.log(c / c.sum()) * _LM_SCALE
     qp = np.copysign(np.floor(np.abs(v) + 0.5), v).astype(np.int64)  # SQL ROUND
-    terms_ref = ray.put(vocab.column("term").combine_chunks())
     qp_ref = ray.put(qp)
 
     def score(batch: pa.Table) -> pa.Table:
@@ -6288,26 +6205,13 @@ def refresh_pq_expected(sf_dir: str, m: int = _PQ_M, k: int = _PQ_K,
     cache + atomic copy-to-static-path contract as
     :func:`refresh_kmeans_expected` (the registered SQL string is fixed at
     registration so it cannot embed sf_dir; bench refreshes this untimed)."""
-    import hashlib as _hl
-    import shutil as _sh
-
-    import pyarrow.parquet as _pq
-
-    tag = _hl.md5(f"{os.path.abspath(sf_dir)}|{m}|{k}|{iters}|{_KM_SCALE}".encode()) \
-             .hexdigest()[:12]
-    cached = f"/tmp/efr_pq_expected_{tag}.parquet"
-    if not os.path.exists(cached):
-        import sys as _sys
-
-        _sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))))
+    def compute():
         from tests.oracle import oracle_pq
 
-        exp = oracle_pq(sf_dir, m=m, k=k, iters=iters, scale=_KM_SCALE)
-        _pq.write_table(pa.Table.from_pandas(exp, preserve_index=False), cached + ".tmp")
-        os.replace(cached + ".tmp", cached)
-    _sh.copyfile(cached, _PQ_EXPECTED + ".tmp")
-    os.replace(_PQ_EXPECTED + ".tmp", _PQ_EXPECTED)
-    return cached
+        return oracle_pq(sf_dir, m=m, k=k, iters=iters, scale=_KM_SCALE)
+
+    return _expected_from_oracle(_PQ_EXPECTED, compute,
+                                 key=f"{os.path.abspath(sf_dir)}|{m}|{k}|{iters}|{_KM_SCALE}")
 
 
 @register(
@@ -6328,46 +6232,10 @@ def pq_codes(sf_dir: str, m: int = _PQ_M, k: int = _PQ_K, iters: int = _KM_ITERS
     100 TB the trainer runs on a sample — here it sees every vector, which
     keeps the oracle twin (tests/oracle.oracle_pq) exact."""
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"]).materialize()
-    d = len(ds.take(1)[0]["embedding"])
-    if d % m:
-        raise ValueError(f"embedding dim {d} not divisible by m={m} subspaces")
-    dsub = d // m
-
-    # All m codebooks train TOGETHER: one streaming pass per Lloyd iteration
-    # emits the fixed-point sufficient statistics of every subspace (key
-    # packs (subspace, cluster, dim+1); ≤ m×k×(d/m+1) rows per batch), one
-    # tiny groupby reduces — m× fewer Ray rounds than training subspaces
-    # sequentially, same exact math as _lloyd_centroids per subspace.
-    init = ds.filter(expr=f"vec_id < {k}").take_all()
-    if len(init) != k:  # fail-loud, same contract as _lloyd_centroids
-        raise ValueError(f"pq init expects vec_ids 0..{k - 1}; found {len(init)} rows")
-    init.sort(key=lambda r: r["vec_id"])
-    X0 = np.stack([np.asarray(r["embedding"], dtype=np.float64) for r in init])
-    codebook = np.stack([X0[:, mi * dsub:(mi + 1) * dsub].copy() for mi in range(m)])
-
-    slot_n = dsub + 1
-    for _ in range(iters):
-        cref = ray.put(codebook)
-
-        def partials(batch: pa.Table) -> pa.Table:
-            return _lloyd_partials(batch, ray.get(cref))
-
-        stats = ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True) \
-                  .groupby("key").sum("s").take_all()
-        sums = np.zeros((m, k, dsub), dtype=np.int64)
-        cnts = np.zeros((m, k), dtype=np.int64)
-        for r in stats:
-            mi, rest = divmod(int(r["key"]), k * slot_n)
-            cl, slot = divmod(rest, slot_n)
-            if slot == 0:
-                cnts[mi, cl] = r["sum(s)"]
-            else:
-                sums[mi, cl, slot - 1] = r["sum(s)"]
-        codebook = codebook.copy()
-        nz = cnts > 0
-        codebook[nz] = sums[nz] / (cnts[nz, None] * _KM_SCALE)
-
-    cref = ray.put(codebook)
+    # all m codebooks train together: one streaming pass per Lloyd
+    # iteration for every subspace, m× fewer Ray rounds than training them
+    # one after another
+    cref = ray.put(_lloyd_centroids(ds, k, iters, m))
 
     def assign(batch: pa.Table) -> pa.Table:
         return _lloyd_assign(batch, ray.get(cref), [f"code_{mi}" for mi in range(m)], "recon_err")

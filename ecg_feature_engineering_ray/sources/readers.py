@@ -111,5 +111,14 @@ def read_events(path: str, columns: list[str] | None = None) -> ray.data.Dataset
 
 
 def read_table(sf_dir: str, name: str, columns: list[str] | None = None, **kwargs) -> ray.data.Dataset:
-    """Read one of the benchmark tables (``{sf_dir}/{name}.parquet``)."""
-    return ray.data.read_parquet(os.path.join(sf_dir, f"{name}.parquet"), columns=columns, **kwargs)
+    """Read one of the benchmark tables (``{sf_dir}/{name}.parquet``).
+
+    The table is read without its schema metadata: files written from
+    pandas carry a ``b"pandas"`` key, and Ray cannot hash a schema with
+    metadata when it unifies block schemas (it logs "Failed to hash the
+    schemas" instead)."""
+    path = os.path.join(sf_dir, f"{name}.parquet")
+    schema = pq.read_schema(path).remove_metadata()
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    return ray.data.read_parquet(path, columns=columns, schema=schema, **kwargs)

@@ -10,19 +10,164 @@ Reference analog: all reference aggregations are single-process DataFrame
 appends (/root/reference/extract_HRV.py:38); the partial/final split is the
 Ray-native restatement.
 
-Supported mergeable aggs: count, sum, min, max, mean, std (sample, via
-sum/sumsq), plus count_distinct (exact, via per-batch unique sets — use only
-on bounded-cardinality columns).  Non-mergeable order statistics (median,
-percentiles) belong in ``partition.grouped_sorted_apply`` instead.
+Supported mergeable aggs: count, sum, sum_cents, min, max, mean, std
+(sample, via sum/sumsq), plus count_distinct (exact, via per-batch distinct
+sets — use only on bounded-cardinality columns).  Non-mergeable order
+statistics (median, percentiles) belong in ``partition.grouped_sorted_apply``
+instead.
+
+Both steps are Arrow ``TableGroupBy`` aggregates driven by one table,
+``_PARTS``: each fn names the partial columns it reads, and each partial
+column names its per-batch aggregate and its merge aggregate.  The result
+follows SQL (DuckDB) semantics whatever the block layout: nulls are skipped
+and a group with no non-null value gives null (count 0); NaN is a value —
+count and count_distinct include it, and sum, sum_cents, mean and max of a
+group holding a NaN are NaN, while min is NaN only when every non-null
+value is NaN (NaN sorts above every number).  std over a NaN-bearing group
+is NaN (DuckDB refuses it as out of range) and null below two values.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ray.data import Dataset
+
+
+def _as_f64(x):
+    return pc.cast(x, pa.float64())
+
+
+def _nan_flags(x):
+    if pa.types.is_floating(x.type):
+        return pc.cast(pc.is_nan(x), pa.int64())
+    return pa.nulls(len(x), pa.int64())
+
+
+# partial column → (its input from the source column, per-batch aggregate,
+# merge aggregate).  "set" merges in _distinct_counts, not in the aggregate.
+_PART = {
+    "rows": (None, "count_all", "sum"),
+    "cnt": (lambda x: x, "count", "sum"),
+    "sum": (lambda x: x, "sum", "sum"),
+    # integer-cents partial sums are exact in float64, so the result is
+    # order-independent and bit-identical to a SQL oracle's
+    "cents": (lambda x: pc.round(pc.multiply(_as_f64(x), 100.0)), "sum", "sum"),
+    "sumsq": (lambda x: pc.multiply(_as_f64(x), _as_f64(x)), "sum", "sum"),
+    "nan": (_nan_flags, "sum", "sum"),
+    "min": (lambda x: x, "min", "min"),
+    "max": (lambda x: x, "max", "max"),
+    "set": (lambda x: x, "distinct", None),
+}
+# fn → the partial columns it reads
+_PARTS = {
+    "count": ("cnt",),
+    "sum": ("sum",),
+    "sum_cents": ("cents",),
+    "mean": ("sum", "cnt"),
+    "std": ("sum", "sumsq", "cnt"),
+    "min": ("min", "cnt", "nan"),
+    "max": ("max", "nan"),
+    "count_distinct": ("set",),
+}
+
+
+def _parts_of(specs: dict[str, tuple[str, str]]) -> list[tuple[str, str]]:
+    """Distinct (part, source) pairs the specs read, in first-use order."""
+    out: dict[tuple[str, str], None] = {}
+    for src, fn in specs.values():
+        if fn not in _PARTS:
+            raise ValueError(f"unsupported aggregate {fn!r}")
+        for part in ("rows",) if fn == "count" and src == "*" else _PARTS[fn]:
+            out[(part, src)] = None
+    return list(out)
+
+
+def _col(part: str, src: str) -> str:
+    return "__rows" if part == "rows" else f"__{part}:{src}"
+
+
+def _group(tbl: pa.Table, keys: list[str], parts: list[tuple[str, str]], step: int) -> pa.Table:
+    """One ``TableGroupBy`` over ``parts``: step 1 is the per-batch aggregate
+    of the prepared inputs, step 2 the merge of the partial columns."""
+    aggs = [([] if _PART[p][step] == "count_all" else _col(p, s), _PART[p][step])
+            for p, s in parts]
+    res = pa.TableGroupBy(tbl, keys, use_threads=False).aggregate(aggs)
+    names = {("count_all" if a == "count_all" else f"{c}_{a}"): _col(p, s)
+             for (c, a), (p, s) in zip(aggs, parts)}
+    return res.rename_columns([names.get(c, c) for c in res.column_names]) \
+              .select(keys + [_col(p, s) for p, s in parts])
+
+
+def _partial_agg(batch: pa.Table, keys: list[str], specs: dict[str, tuple[str, str]]) -> pa.Table:
+    """The per-batch step: one row per group of ``batch`` holding the
+    partial columns of ``specs``."""
+    parts = _parts_of(specs)
+    cols = {k: batch.column(k) for k in keys}
+    for p, s in parts:
+        if p != "rows":
+            cols[_col(p, s)] = _PART[p][0](batch.column(s))
+    return _group(pa.table(cols), keys, parts, 1)
+
+
+def _distinct_counts(tbl: pa.Table, keys: list[str], col: str) -> pa.Array:
+    """Per group (sorted by ``keys``) the number of distinct non-null values
+    across the group's partial ``distinct`` lists."""
+    lists = tbl.column(col).combine_chunks()
+    vals = tbl.select(keys).take(pc.list_parent_indices(lists)) \
+              .append_column("v", pc.list_flatten(lists))
+    # one null-valued row per partial row keeps groups with empty lists
+    blank = tbl.select(keys).append_column("v", pa.nulls(tbl.num_rows, vals.schema.field("v").type))
+    res = pa.TableGroupBy(pa.concat_tables([vals, blank]), keys, use_threads=False) \
+            .aggregate([("v", "count_distinct")])
+    return res.sort_by([(k, "ascending") for k in keys]).column("v_count_distinct")
+
+
+def _final_agg(tbl: pa.Table, keys: list[str], specs: dict[str, tuple[str, str]],
+              round_to: int | None = None) -> pa.Table:
+    """The merge step over partial rows (any number of groups, zero rows
+    included): one row per group, ``keys`` then the ``specs`` columns."""
+    parts = _parts_of(specs)
+    merged = _group(tbl, keys, [(p, s) for p, s in parts if p != "set"], 2) \
+        .sort_by([(k, "ascending") for k in keys])
+
+    def part(p: str, s: str):
+        if p == "set":
+            return _distinct_counts(tbl, keys, _col(p, s))
+        return merged.column(_col(p, s))
+
+    out = {k: merged.column(k) for k in keys}
+    for name, (src, fn) in specs.items():
+        if fn == "count":
+            v = part("rows" if src == "*" else "cnt", src)
+        elif fn == "sum":
+            v = part("sum", src)
+        elif fn == "sum_cents":
+            v = pc.divide(part("cents", src), 100.0)
+        elif fn == "mean":
+            v = pc.divide(_as_f64(part("sum", src)), _as_f64(part("cnt", src)))
+        elif fn == "std":
+            n = _as_f64(part("cnt", src))
+            s = _as_f64(part("sum", src))
+            var = pc.subtract(part("sumsq", src), pc.divide(pc.multiply(s, s), n))
+            var = pc.if_else(pc.less(var, 0.0), 0.0, var)  # keeps NaN
+            v = pc.if_else(pc.greater(n, 1.0),
+                           pc.sqrt(pc.divide(var, pc.subtract(n, 1.0))), None)
+        elif fn in ("min", "max"):
+            v = part(fn, src)
+            if pa.types.is_floating(v.type):
+                nan = part("nan", src)
+                only_nan = pc.greater(nan, 0) if fn == "max" else \
+                    pc.and_(pc.greater(nan, 0), pc.equal(nan, part("cnt", src)))
+                v = pc.if_else(only_nan, float("nan"), v)
+        else:  # count_distinct
+            v = part("set", src)
+        if round_to is not None and pa.types.is_floating(v.type):
+            v = pc.round(v, round_to, round_mode="half_towards_infinity")
+        out[name] = v
+    return pa.table(out)
 
 
 def grouped_agg(
@@ -33,105 +178,14 @@ def grouped_agg(
 ) -> Dataset:
     """Grouped aggregation: out_name → (source_col, fn).
 
-    fn ∈ {count, sum, mean, min, max, std, count_distinct}.  ``count`` with
-    source '*' counts rows.  ``round_to`` rounds float outputs (oracle-hash
-    stability).
+    fn ∈ {count, sum, sum_cents, mean, min, max, std, count_distinct}.
+    ``count`` with source '*' counts rows.  ``round_to`` rounds float
+    outputs half away from zero, as SQL ROUND does (oracle-hash stability).
     """
-    # partial columns needed per source column
-    need_cents = {src for src, fn in specs.values() if fn == "sum_cents"}
-    need_sum = {src for src, fn in specs.values() if fn in ("sum", "mean", "std")}
-    need_sumsq = {src for src, fn in specs.values() if fn == "std"}
-    need_min = {src for src, fn in specs.values() if fn == "min"}
-    need_max = {src for src, fn in specs.values() if fn == "max"}
-    need_cnt = {src for src, fn in specs.values() if fn in ("mean", "std")} | {
-        src for src, fn in specs.values() if fn == "count" and src != "*"
-    }
-    need_distinct = {src for src, fn in specs.values() if fn == "count_distinct"}
-    count_rows = any(fn == "count" and src == "*" for src, fn in specs.values())
-
-    def partial(batch: pa.Table) -> pa.Table:
-        # Arrow-native partial: pa.TableGroupBy hash-aggregates without a
-        # pandas round-trip, so the combiner stays zero-copy on the batch.
-        # NaN semantics are DELIBERATELY Arrow's (= ANSI SQL / the DuckDB
-        # oracle): NaN is a VALUE — count() includes it, sum/mean/std over a
-        # NaN-bearing group return NaN.  (The previous pandas partials
-        # silently skipped NaN, diverging from the oracle.)  Nulls are
-        # skipped by both, as in SQL.
-        import pyarrow.compute as pc  # noqa: PLC0415
-
-        t = batch.select(
-            sorted(set(keys) | need_cents | need_sum | need_sumsq | need_min | need_max | need_cnt | need_distinct)
-        )
-        aggs: list[tuple[str, str]] = []
-        rename: dict[str, str] = {}
-        for src in need_cents:
-            # integer-cents partial sums are exact in float64 → final result
-            # is order-independent and bit-identical to a SQL oracle's
-            c = pc.round(pc.multiply(pc.cast(t.column(src), pa.float64()), 100.0))
-            t = t.append_column(f"__c_{src}", c)
-            aggs.append((f"__c_{src}", "sum"))
-            rename[f"__c_{src}_sum"] = f"__cents_{src}"
-        for src in need_sum:
-            aggs.append((src, "sum"))
-            rename[f"{src}_sum"] = f"__sum_{src}"
-        for src in need_sumsq:
-            f = pc.cast(t.column(src), pa.float64())
-            t = t.append_column(f"__sq_{src}", pc.multiply(f, f))
-            aggs.append((f"__sq_{src}", "sum"))
-            rename[f"__sq_{src}_sum"] = f"__sumsq_{src}"
-        for src in need_min:
-            aggs.append((src, "min"))
-            rename[f"{src}_min"] = f"__min_{src}"
-        for src in need_max:
-            aggs.append((src, "max"))
-            rename[f"{src}_max"] = f"__max_{src}"
-        for src in need_cnt:
-            aggs.append((src, "count"))
-            rename[f"{src}_count"] = f"__cnt_{src}"
-        for src in need_distinct:
-            aggs.append((src, "distinct"))
-            rename[f"{src}_distinct"] = f"__set_{src}"
-        if count_rows:
-            t = t.append_column("__one", pa.array(np.ones(t.num_rows, np.int64)))
-            aggs.append(("__one", "sum"))
-            rename["__one_sum"] = "__rows"
-        res = pa.TableGroupBy(t, keys).aggregate(aggs)
-        return res.rename_columns([rename.get(c, c) for c in res.column_names])
-
-    partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-
-    def finalize(group: pd.DataFrame) -> pd.DataFrame:
-        row = {k: group[k].iloc[0] for k in keys}
-        for name, (src, fn) in specs.items():
-            if fn == "count":
-                v = group["__rows"].sum() if src == "*" else group[f"__cnt_{src}"].sum()
-            elif fn == "sum_cents":
-                v = group[f"__cents_{src}"].sum() / 100.0
-            elif fn == "sum":
-                v = group[f"__sum_{src}"].sum()
-            elif fn == "min":
-                v = group[f"__min_{src}"].min()
-            elif fn == "max":
-                v = group[f"__max_{src}"].max()
-            elif fn == "mean":
-                v = group[f"__sum_{src}"].sum() / group[f"__cnt_{src}"].sum()
-            elif fn == "std":
-                n = group[f"__cnt_{src}"].sum()
-                s = group[f"__sum_{src}"].sum()
-                ss = group[f"__sumsq_{src}"].sum()
-                v = np.sqrt(max(ss - s * s / n, 0.0) / (n - 1)) if n > 1 else np.nan
-            elif fn == "count_distinct":
-                # arrow 'distinct' partials may carry nulls — drop them here
-                v = len({x for lst in group[f"__set_{src}"] for x in lst
-                         if x is not None and x == x})
-            else:
-                raise ValueError(fn)
-            if round_to is not None and isinstance(v, (float, np.floating)):
-                v = round(float(v), round_to)
-            row[name] = v
-        return pd.DataFrame([row])
-
-    return partials.groupby(keys).map_groups(finalize, batch_format="pandas")
+    partials = ds.map_batches(_partial_agg, fn_args=(keys, specs),
+                              batch_format="pyarrow", zero_copy_batch=True)
+    return partials.groupby(keys).map_groups(_final_agg, fn_args=(keys, specs, round_to),
+                                             batch_format="pyarrow")
 
 
 def per_group_top_k(
@@ -165,8 +219,7 @@ def per_group_top_k(
         n = batch.num_rows
         if n == 0:
             return batch
-        gvals = batch.column(group).to_pandas().to_numpy()
-        _, gc = np.unique(gvals, return_inverse=True)
+        gc = np.asarray(batch.column(group).combine_chunks().dictionary_encode().indices)
         keys = [np.asarray(batch.column(c).combine_chunks()) for c in order_by]
         # np.lexsort: LAST key is primary → (tie_n … tie_1, primary, group)
         order = np.lexsort(tuple(reversed(keys)) + (gc,))

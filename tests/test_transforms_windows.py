@@ -4,7 +4,7 @@ import numpy as np
 import pandas as pd
 
 from ecg_feature_engineering_ray.functions import transforms as T
-from ecg_feature_engineering_ray.pipelines.corpus_windows import corpus_windows, _split_of
+from ecg_feature_engineering_ray.pipelines.corpus_windows import corpus_windows
 
 
 def test_scale_input_signed_log():
