@@ -1906,7 +1906,7 @@ def _expected_from_oracle(path: str, compute, key: str | None = None) -> str:
     never changes).  With ``key`` (input directory plus config) it is cached
     once per key, at ``path`` with the key's md5 appended, and that file is
     copied atomically to ``path`` on every call: the SQL string is fixed at
-    registration and cannot name the input, and the driver runs each query
+    registration and cannot name the input, and a correctness gate runs each query
     before its SQL, so a sequential gate reads its own input's answer
     (concurrent gates over different inputs would last-writer-win ``path``).
     """
