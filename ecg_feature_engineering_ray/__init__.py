@@ -9,8 +9,9 @@ capabilities of hhc1997/ECG-Feature-Engineering, re-expressed as
 - ``functions`` — pure numpy / pyarrow kernels (stats, spectral, wavelet, entropy,
                   codec, text, hashing).  These are the vectorized re-statements of
                   the reference's per-record formulas (see SURVEY.md §2.4).
-- ``stages``    — Ray Data stage builders: entity-bucket partitioning, windows /
-                  lag-lead, sessionization, as-of join, dedup, ANN, decode actors.
+- ``stages``    — Ray Data stage builders: entity-bucket partitioning and the one
+                  two-sided join plan, windows / lag-lead, sessionization, as-of,
+                  shuffle and interval joins, grouped aggregation, decode tasks.
 - ``pipelines`` — end-to-end compositions (flagship point-in-time feature pipeline,
                   feature-family extraction + join).
 - ``state``     — per-partition checkpoint manifests (lineage, watermark, metrics)

@@ -87,36 +87,3 @@ def bucket_of_strings(arr: pa.Array | pa.ChunkedArray, num_buckets: int) -> np.n
     lut = np.array([md5_u64(u) % num_buckets for u in uniq], dtype=np.int32)
     idx = np.asarray(d.indices)
     return lut[idx]
-
-
-def seeded_uniform(keys: np.ndarray, seed: int) -> np.ndarray:
-    """Deterministic per-row uniform(0,1) keyed by (key, seed).
-
-    Retry-safe replacement for ``np.random`` row sampling
-    (reference analog: seeded oversampling,
-    /root/reference/challenge2020/preprocess/preprocess-300hz.py:315-341).
-    """
-    mixed = splitmix64(keys.astype(_U64) ^ splitmix64(np.full(len(keys), seed, dtype=_U64)))
-    return (mixed >> _U64(11)).astype(np.float64) / float(1 << 53)
-
-
-def stable_row_hash(tbl: pa.Table, columns: list[str]) -> np.ndarray:
-    """Combined stable uint64 hash of the given columns, row-wise."""
-    acc = np.zeros(tbl.num_rows, dtype=_U64)
-    for name in columns:
-        col = tbl.column(name)
-        if pa.types.is_integer(col.type):
-            h = splitmix64(np.asarray(col.combine_chunks()).astype(np.int64))
-        elif pa.types.is_floating(col.type):
-            h = splitmix64(np.asarray(col.combine_chunks()).view(np.int64))
-        elif pa.types.is_timestamp(col.type):
-            h = splitmix64(np.asarray(col.cast(pa.int64()).combine_chunks()))
-        else:
-            str_col = col.cast(pa.string()).combine_chunks()
-            d = str_col.dictionary_encode()
-            lut = np.array([md5_u64(u if u is not None else "\x00null") for u in d.dictionary.to_pylist()],
-                           dtype=_U64)
-            h = lut[np.asarray(d.indices)]
-        with np.errstate(over="ignore"):
-            acc = splitmix64(acc * _U64(31) + h)
-    return acc

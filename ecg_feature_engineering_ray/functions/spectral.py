@@ -52,20 +52,6 @@ def fft_power(x: np.ndarray, fs: float = 300.0, nfft: int = 4500) -> float:
     return float(pxx.sum())
 
 
-def band_power_shannon_entropy(x: np.ndarray, fs: float = 300.0, bands=DEFAULT_BANDS) -> float:
-    """Shannon entropy over normalized band powers.
-
-    Reference defines but never calls this (/root/reference/LONG_features.py:153-171);
-    implemented for parity tests, EXCLUDED from the default long-feature vector.
-    """
-    p = band_power(x, fs, bands)
-    tot = p.sum()
-    if tot <= 0:
-        return 0.0
-    q = p[p > 0] / tot
-    return float(-(q * np.log2(q)).sum())
-
-
 def snr_low_high(x: np.ndarray, fs: float = 300.0, split_hz: float = 5.0) -> float:
     """power(<split)/power(>=split) (/root/reference/LONG_features.py:173-191)."""
     freqs, pxx = periodogram(x, fs)

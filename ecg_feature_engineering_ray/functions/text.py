@@ -105,11 +105,6 @@ def shingle_lists(texts: "list[str]", n: int = 5) -> "list[list[str]]":
     return out
 
 
-def simhash64(text: str) -> int:
-    """64-bit SimHash over tokens (md5-based), signed int64 for Arrow."""
-    return int(simhash64_batch([text])[0])
-
-
 def simhash64_batch(texts: "list[str]") -> np.ndarray:
     """Vectorized batch SimHash — bit-identical to the original per-token
     loop (each token's md5_u64 bit i votes ±1 on bit i; final bit b_i set
@@ -258,5 +253,3 @@ def bpe_ish_token_count(text: str) -> int:
     for t in tokens(text):
         n += 1 + max(0, (len(t) - 8) + 3) // 4 if len(t) > 8 else 1
     return n
-
-

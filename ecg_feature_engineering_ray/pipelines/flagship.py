@@ -3,7 +3,8 @@
     one task per event fragment: streamed read → decode (bytes → derived
       v; payload leaves here) → tag (side flag)
       → materialize: one small block per fragment
-      → union with the tagged as-of query points (co-partitioned, ONE shuffle)
+      → union with the tagged as-of query points (co-partitioned, ONE shuffle:
+        the two-sided plan every join shares, stages/partition.py)
       → entity-bucket groupby, per-bucket (entity, ts)-sort
       → monotone as-of merge emitting the PIT_FEATURE vector per query
       → sink: a streamed Dataset (pit_features) or a per-partition
@@ -29,12 +30,13 @@ import pyarrow.compute as pc
 from ray.data import Dataset
 
 from ..sources.readers import list_fragments, read_events, read_fragments
-from ..stages.asof import SIDE_COL, asof_merge_table
+from ..stages.asof import asof_bucket_fn
 from ..stages.decode import decode_stage
 from ..stages.partition import (
     BUCKET_COL,
+    SIDE_COL,
+    co_partitioned_apply,
     entity_counts,
-    grouped_sorted_apply,
     plan_buckets,
 )
 from ..state.checkpoint import commit_partition, completed_buckets
@@ -57,13 +59,10 @@ def compute_bucket_plan(
     about min(n, cap)² + q·n + n, and :func:`plan_buckets` LPT-places every
     entity that costs a quarter of a bucket's share or more.
 
-    That is the engine's only skew mechanism.  Query-split salting (each
-    query group with its own copy of the entity's events) was removed: the
-    pair pass is shared by all of an entity's queries, so every salt group
-    repeated it, and on the benchmark workloads it only added copied rows
-    (pit_long: 19,002 on a 4,800-row input) while LPT alone kept the buckets
-    even.  An entity heavier than a bucket's share gets a bucket of its own;
-    the merge's makespan is then bound by that entity, not by hash luck.
+    That is the engine's only skew mechanism (query-split salting repeated
+    the shared pair pass once per salt group, and went).  An entity heavier
+    than a bucket's share gets a bucket of its own; the merge's makespan is
+    then bound by that entity, not by hash luck.
     In production this is a periodic stats job whose output is reused across
     runs — callers may compute it once and pass ``bucket_plan`` to
     :func:`pit_features`.
@@ -79,44 +78,29 @@ def compute_bucket_plan(
     return {"plan": plan_buckets(costs, num_buckets)}
 
 
-def tag_left(b: pa.Table) -> pa.Table:
-    """The query side of the union: as-of points keyed by ``image_id``."""
-    return pa.table(
-        {
-            "image_id": b.column("image_id"),
-            "__ts": b.column("as_of_ts").cast(pa.timestamp("us")),
-            "v": pa.nulls(b.num_rows, pa.float64()),
-            SIDE_COL: pa.array(np.ones(b.num_rows, np.int8)),
-        }
-    )
+def _project_queries(b: pa.Table) -> pa.Table:  # as-of points by image_id
+    return pa.table({"image_id": b.column("image_id"),
+                     "__ts": b.column("as_of_ts").cast(pa.timestamp("us"))})
 
 
-def tag_right(b: pa.Table) -> pa.Table:
-    """The event side of the union: the (image_id, ts, v) projection."""
-    return pa.table(
-        {
-            "image_id": b.column("image_id"),
-            "__ts": b.column("ts").cast(pa.timestamp("us")),
-            "v": b.column("v"),
-            SIDE_COL: pa.array(np.zeros(b.num_rows, np.int8)),
-        }
-    )
+def _project_events(b: pa.Table) -> pa.Table:  # decoded rows → (image_id, ts, v)
+    return pa.table({"image_id": b.column("image_id"),
+                     "__ts": b.column("ts").cast(pa.timestamp("us")), "v": b.column("v")})
 
 
-def _tagged_events(events_dir: str) -> Dataset:
-    """The event side of the union, staged: one task per event fragment
-    reads it in 256-row batches, decodes them (throughput path: decode +
-    phash content check; the canonical-encoding roundtrip is a test-time
-    invariant, see stages/decode.py) and tags the (image_id, ts, v)
-    projection.  The side's work happens below the union, so the union and
-    the exchange see one small block per fragment.
+def _tagged_events(events_dir: str, tag) -> Dataset:
+    """The event side, staged: one task per event fragment reads it in
+    256-row batches, decodes them (decode + phash content check; the
+    canonical-encoding roundtrip is a test-time invariant, see
+    stages/decode.py) and runs ``tag``, the side's tag function, so the
+    union and the exchange see one small block per fragment.
 
     Materialized: the tagged rows are ~400x smaller than the input (40 B/row
     vs KB-scale image bytes) and are exactly the row set the sort barrier
     must hold anyway, so staging them adds no asymptotic memory and gives the
     decode and shuffle phases each clean scheduling."""
     return decode_stage(read_events(events_dir), verify_roundtrip=False,
-                        then=tag_right).materialize()
+                        then=tag).materialize()
 
 
 def _pit_plan(
@@ -130,49 +114,45 @@ def _pit_plan(
     instrument=None,
     stage_times: dict | None = None,
 ) -> Dataset:
-    """The one flagship plan behind both sinks: fused read → decode → tag
-    tasks → materialize → union → per-bucket (entity, ts)-sorted as-of merge.
+    """The one flagship plan behind both sinks: the two-sided as-of plan
+    (:func:`~..stages.partition.co_partitioned_apply`) over the query
+    fragments and the fused read → decode → tag event tasks, materialized,
+    with a per-bucket (entity, ts)-sorted as-of merge.
 
     ``cfg`` is a resolved bucket plan (``{"plan"}``, see
     :func:`compute_bucket_plan`).  With ``commit`` set, each merge task also
     receives its bucket id and returns ``commit(bucket, tbl, merged, t0)``
     instead of the merged table (the checkpointed sink); ``skip_buckets``
     drops completed buckets right after bucket assignment."""
-    _t0 = time.time()
-    tagged = _tagged_events(events_dir)
-    if stage_times is not None:  # observability seam, like ``instrument``
-        stage_times["decode_wall_s"] = time.time() - _t0
 
-    left = read_fragments(queries_path)  # one task per fragment, tag_left fused in
-    point_fn = make_pit_feature_fn(sampen_max_n)
-    # align (see stages/asof.py): one shuffle carries both tagged sides
-    unioned = left.map_batches(tag_left, batch_format="pyarrow", zero_copy_batch=True).union(tagged)
+    def events(tag) -> Dataset:
+        t0 = time.time()
+        tagged = _tagged_events(events_dir, tag)
+        if stage_times is not None:  # observability seam, like ``instrument``
+            stage_times["decode_wall_s"] = time.time() - t0
+        return tagged
+
+    merge = asof_bucket_fn(
+        "image_id", "as_of_ts", aggs={}, left_cols=[],
+        point_fn=make_pit_feature_fn(sampen_max_n), point_out=PIT_FEATURE_NAMES,
+        value_cols=["v"],
+    )
 
     def per_bucket(tbl: pa.Table) -> pa.Table:
         t0 = time.time()
-        if commit is not None:
-            bucket = int(tbl.column(BUCKET_COL)[0].as_py())
-            tbl = tbl.drop_columns([BUCKET_COL])
-        merged = asof_merge_table(
-            tbl, "image_id", "__ts",
-            aggs={"__cnt": ("v", "count")},
-            left_cols=["image_id", "__ts"],
-            point_fn=point_fn,
-            point_out=PIT_FEATURE_NAMES,
-            value_cols=["v"],
-        )
-        merged = merged.rename_columns(
-            ["as_of_ts" if c == "__ts" else c for c in merged.column_names]
-        ).drop_columns(["__cnt"])
-        return merged if commit is None else commit(bucket, tbl, merged, t0)
+        if commit is None:
+            return merge(tbl)
+        bucket = int(tbl.column(BUCKET_COL)[0].as_py())
+        tbl = tbl.drop_columns([BUCKET_COL])
+        return commit(bucket, tbl, merge(tbl), t0)
 
     # ``instrument`` (observability seam): wraps the per-bucket merge fn —
     # probes/ops use it to record per-bucket wall time without forking the
-    # pipeline; must be picklable and must not change result semantics when
-    # left None.
+    # pipeline; must be picklable and must not change result semantics.
     fn = instrument(per_bucket) if instrument is not None else per_bucket
-    return grouped_sorted_apply(
-        unioned, "image_id", ["__ts", SIDE_COL], fn, num_buckets,
+    return co_partitioned_apply(  # one task per query fragment, tag fused in
+        read_fragments(queries_path), events, _project_queries, _project_events,
+        "image_id", ["__ts"], fn, num_buckets,
         explicit_map=cfg.get("plan"), skip_buckets=skip_buckets,
         keep_bucket_col=commit is not None,
     )

@@ -29,7 +29,7 @@ from ..functions import text as T
 from ..functions.hashing import md5_keys
 from ..functions.stats import percentiles
 from ..sources.readers import read_table
-from ..stages.asof import asof_join, asof_self_join
+from ..stages.asof import asof_self_join
 from ..stages.groupagg import global_agg, grouped_agg, per_group_top_k
 from ..stages.joins import broadcast_join, broadcast_range_join, interval_join, shuffle_join
 from ..stages.partition import entity_segments, grouped_sorted_apply
@@ -5113,11 +5113,6 @@ def join_user_order_activity(sf_dir: str):
         ["user_id"], {"n_orders": ("*", "count")},
     )
 
-    def as_arrow(batch: pa.Table) -> pa.Table:  # normalize block format for the join
-        return batch
-
-    ev = ev.map_batches(as_arrow, batch_format="pyarrow", zero_copy_batch=True)
-    oc = oc.map_batches(as_arrow, batch_format="pyarrow", zero_copy_batch=True)
     return shuffle_join(ev, oc, on="user_id", left_cols=["n_events"],
                         right_cols=["n_orders"], how="full", num_buckets=NB)
 

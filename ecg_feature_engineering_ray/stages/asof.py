@@ -5,22 +5,22 @@ aggregates / the last value over the right rows of the same entity with
 ``ts <= as_of_ts`` (inclusive tie), and NULLs when no such row exists —
 **zero temporal leakage** by construction.
 
-Physical plan (Ray-Data-first):
+Physical plan (Ray-Data-first): both joins are one
+:func:`~.partition.co_partitioned_apply` plan.
 
-1. project both sides down to key + ts + needed value columns (images'
-   ``bytes`` never enter the shuffle);
-2. tag ``__side`` (0 = right/events, 1 = left/queries), align schemas, union
-   — so both sides move through ONE hash-bucket shuffle, co-partitioned;
-3. ``grouped_sorted_apply`` buckets by entity and sorts each bucket by
-   (entity, ts, side);
-4. inside the bucket, loop entity segments (vectorized numpy within):
-   ``searchsorted(event_ts, query_ts, side='right')`` gives each query its
-   event-prefix length; prefix cumsums / running extrema answer count, sum,
-   mean, min, max, last in O(rows); an optional ``point_fn`` computes an
-   arbitrary feature vector per query from the entity's events and the
-   prefix lengths of all its queries in ONE call, so it can share work
-   across an entity's nested prefixes (the hook the flagship feature
-   pipeline uses).
+1. each side projects key + ``__ts`` + the columns it needs (images'
+   ``bytes`` never enter the shuffle); the plan tags ``__side`` (0 =
+   right/events, 1 = left/queries), null-pads the other side's columns and
+   unions the sides, so both move through ONE hash-bucket shuffle,
+   co-partitioned, sorted by (entity, ts, side) inside each bucket;
+2. inside the bucket (:func:`asof_merge_table`), loop entity segments
+   (vectorized numpy within): ``searchsorted(event_ts, query_ts,
+   side='right')`` gives each query its event-prefix length; prefix cumsums
+   / running extrema answer count, sum, mean, min, max, last in O(rows); an
+   optional ``point_fn`` computes an arbitrary feature vector per query
+   from the entity's events and the prefix lengths of all its queries in
+   ONE call, so it can share work across an entity's nested prefixes (the
+   hook the flagship feature pipeline uses).
 
 The reference's analog is implicit — every feature row is "features of the
 entity as of end-of-record" (/root/reference/challenge2020/get_model.py:29-48
@@ -30,6 +30,7 @@ as-of point is explicit and arbitrary.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -37,9 +38,8 @@ import pyarrow as pa
 
 from ray.data import Dataset
 
-from .partition import entity_segments, grouped_sorted_apply
+from .partition import SIDE_COL, co_partitioned_apply, entity_segments
 
-SIDE_COL = "__side"
 SUPPORTED_AGGS = ("count", "sum", "mean", "min", "max", "last",
                   "wcount", "wsum", "wmean", "wmin", "wmax")
 
@@ -216,6 +216,40 @@ def asof_merge_table(
     return pa.table(out)
 
 
+def _project(batch: pa.Table, key: str, ts_col: str, cols: list[str],
+             mask: Callable | None = None, exprs: dict | None = None) -> pa.Table:
+    """One as-of side's columns: ``key``, ``ts_col`` as ``__ts`` and
+    ``cols`` (each from ``exprs`` when it names it), over the rows of
+    ``mask``."""
+    if mask is not None:
+        batch = batch.filter(mask(batch))
+    exprs = exprs or {}
+    return pa.table({key: batch.column(key), "__ts": batch.column(ts_col).cast(pa.timestamp("us")),
+                     **{c: exprs[c](batch) if c in exprs else batch.column(c) for c in cols}})
+
+
+def asof_bucket_fn(
+    key: str,
+    ts_name: str,
+    aggs: dict[str, tuple[str, str]],
+    left_cols: list[str],
+    **merge_kw,
+) -> Callable[[pa.Table], pa.Table]:
+    """The per-bucket as-of merge of a two-sided plan: :func:`asof_merge_table`
+    over the union's ``__ts`` order column, which comes back as ``ts_name``.
+    ``merge_kw`` are its ``point_fn``, ``point_out``, ``value_cols`` and
+    ``window_us``."""
+    out_cols = [key, "__ts"] + [c for c in left_cols if c not in (key, "__ts")]
+
+    def per_bucket(tbl: pa.Table) -> pa.Table:
+        merged = asof_merge_table(tbl, key, "__ts", aggs, out_cols, **merge_kw)
+        return merged.rename_columns(
+            [ts_name if c == "__ts" else c for c in merged.column_names]
+        )
+
+    return per_bucket
+
+
 def asof_join(
     left: Dataset,
     right: Dataset,
@@ -230,49 +264,20 @@ def asof_join(
     value_cols: list[str] | None = None,
     window_us: int | None = None,
 ) -> Dataset:
-    """Distributed point-in-time join of two Datasets (see module docstring)."""
+    """Distributed point-in-time join of two Datasets (see module docstring).
+
+    An empty side that keeps its schema gets the SQL answer (no left rows:
+    no output; no right rows: count 0 and null aggregates).  A side with no
+    schema, as a row-wise ``filter`` that kept nothing leaves, raises
+    ``ValueError`` naming that side: its columns cannot be typed."""
     needed_right = sorted({src for src, _ in aggs.values()} | set(value_cols or []))
-    ts_t = pa.timestamp("us")
-
-    def tag_left(batch: pa.Table) -> pa.Table:
-        cols = {key: batch.column(key), "__ts": batch.column(left_ts).cast(ts_t)}
-        for c in left_cols:
-            cols[c] = batch.column(c)
-        for c in needed_right:
-            cols[c] = pa.nulls(batch.num_rows, right_schema_types[c])
-        cols[SIDE_COL] = pa.array(np.ones(batch.num_rows, dtype=np.int8))
-        return pa.table(cols)
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        cols = {key: batch.column(key), "__ts": batch.column(right_ts).cast(ts_t)}
-        for c in left_cols:
-            # left payload columns are null on the right side
-            cols[c] = pa.nulls(batch.num_rows, left_schema_types[c])
-        for c in needed_right:
-            cols[c] = batch.column(c)
-        cols[SIDE_COL] = pa.array(np.zeros(batch.num_rows, dtype=np.int8))
-        return pa.table(cols)
-
-    left_schema_types = {c: left.schema().base_schema.field(c).type for c in left_cols}
-    right_schema_types = {c: right.schema().base_schema.field(c).type for c in needed_right}
-
-    lt = left.map_batches(tag_left, batch_format="pyarrow", zero_copy_batch=True)
-    rt = right.map_batches(tag_right, batch_format="pyarrow", zero_copy_batch=True)
-    unioned = lt.union(rt)
-    out_cols = [key, "__ts"] + [c for c in left_cols if c not in (key, "__ts")]
-
-    def per_bucket(sorted_tbl: pa.Table) -> pa.Table:
-        merged = asof_merge_table(
-            sorted_tbl, key, "__ts", aggs, out_cols,
-            point_fn=point_fn, point_out=point_out, value_cols=value_cols,
-            window_us=window_us,
-        )
-        return merged.rename_columns(
-            [left_ts if c == "__ts" else c for c in merged.column_names]
-        )
-
-    return grouped_sorted_apply(
-        unioned, key, ["__ts", SIDE_COL], per_bucket, num_buckets
+    per_bucket = asof_bucket_fn(key, left_ts, aggs, left_cols, point_fn=point_fn,
+                                point_out=point_out, value_cols=value_cols, window_us=window_us)
+    return co_partitioned_apply(
+        left, right,
+        functools.partial(_project, key=key, ts_col=left_ts, cols=left_cols),
+        functools.partial(_project, key=key, ts_col=right_ts, cols=needed_right),
+        key, ["__ts"], per_bucket, num_buckets,
     )
 
 
@@ -292,53 +297,20 @@ def asof_self_join(
 
     The common "features of event X over the same stream's prior history"
     shape (e.g. each error event over prior non-error events) would pay two
-    filtered scans through :func:`asof_join`; here each input batch is
-    tagged into both sides in a SINGLE ``map_batches`` so the source is read
-    once.  ``left_mask``/``right_mask`` select the query/event rows;
+    filtered scans through :func:`asof_join`; here both sides are projected
+    out of each input batch in a SINGLE ``map_batches`` (the self-join form
+    of :func:`~.partition.co_partitioned_apply`) so the source is read once.
+    ``left_mask``/``right_mask`` select the query/event rows;
     ``right_exprs`` derive extra value columns (name → fn(right_rows) →
     Array), e.g. exact integer cents.  Same merge semantics as
-    :func:`asof_join`.
+    :func:`asof_join`; an empty ``ds`` gives no rows.
     """
-    right_exprs = right_exprs or {}
     agg_srcs = sorted({src for src, _ in aggs.values()})
-    ts_t = pa.timestamp("us")
-
-    def tag_both(batch: pa.Table) -> pa.Table:
-        lmask = left_mask(batch)
-        rmask = right_mask(batch)
-        lb = batch.filter(lmask)
-        rb = batch.filter(rmask)
-        rvals: dict[str, pa.Array] = {}
-        for name, fn in right_exprs.items():
-            rvals[name] = fn(rb)
-        for c in agg_srcs:
-            if c not in rvals:
-                rvals[c] = rb.column(c).combine_chunks()
-        lcols = {key: lb.column(key), "__ts": lb.column(ts_col).cast(ts_t)}
-        for c in left_cols:
-            lcols[c] = lb.column(c)
-        for c in agg_srcs:
-            lcols[c] = pa.nulls(lb.num_rows, rvals[c].type)
-        lcols[SIDE_COL] = pa.array(np.ones(lb.num_rows, dtype=np.int8))
-        rcols = {key: rb.column(key), "__ts": rb.column(ts_col).cast(ts_t)}
-        for c in left_cols:
-            rcols[c] = pa.nulls(rb.num_rows, batch.schema.field(c).type)
-        for c in agg_srcs:
-            rcols[c] = rvals[c]
-        rcols[SIDE_COL] = pa.array(np.zeros(rb.num_rows, dtype=np.int8))
-        return pa.concat_tables([pa.table(lcols), pa.table(rcols)])
-
-    unioned = ds.map_batches(tag_both, batch_format="pyarrow", zero_copy_batch=True)
-    out_cols = [key, "__ts"] + [c for c in left_cols if c not in (key, "__ts")]
-
-    def per_bucket(sorted_tbl: pa.Table) -> pa.Table:
-        merged = asof_merge_table(
-            sorted_tbl, key, "__ts", aggs, out_cols, window_us=window_us,
-        )
-        return merged.rename_columns(
-            [ts_col if c == "__ts" else c for c in merged.column_names]
-        )
-
-    return grouped_sorted_apply(
-        unioned, key, ["__ts", SIDE_COL], per_bucket, num_buckets
+    return co_partitioned_apply(
+        ds, None,
+        functools.partial(_project, key=key, ts_col=ts_col, cols=left_cols, mask=left_mask),
+        functools.partial(_project, key=key, ts_col=ts_col, cols=agg_srcs, mask=right_mask,
+                          exprs=right_exprs),
+        key, ["__ts"], asof_bucket_fn(key, ts_col, aggs, left_cols, window_us=window_us),
+        num_buckets,
     )

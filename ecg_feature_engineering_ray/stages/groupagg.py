@@ -250,15 +250,25 @@ def global_agg(ds: Dataset, specs: dict[str, tuple[str, str]]) -> pa.Table:
 
     Returns a one-row Arrow table (small result — driver-side merge is fine;
     reference analog: the global min-length scan, /root/reference/utils.py:43-56).
+    Over zero rows that row is SQL's: count and count_distinct 0, every
+    other aggregate null, typed as the merge types it (the input's schema is
+    read for that, and an empty input without one raises ``ValueError``).
     """
-    tagged = ds.map_batches(
-        lambda b: b.append_column("__g", pa.array(np.zeros(b.num_rows, np.int8))),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    out = grouped_agg(tagged, ["__g"], specs)
+    def one_group(b: pa.Table) -> pa.Table:
+        return b.append_column("__g", pa.array(np.zeros(b.num_rows, np.int8)))
+
+    out = grouped_agg(ds.map_batches(one_group, batch_format="pyarrow", zero_copy_batch=True),
+                      ["__g"], specs)
     import ray  # noqa: PLC0415
 
     parts = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
-    tbl = pa.concat_tables(parts).combine_chunks()
-    return tbl.drop_columns(["__g"])
+    if parts:
+        return pa.concat_tables(parts).combine_chunks().drop_columns(["__g"])
+    schema = ds.schema()
+    if schema is None:
+        raise ValueError("global_agg: the input is empty and carries no schema")
+    empty = _final_agg(_partial_agg(one_group(schema.base_schema.empty_table()), ["__g"], specs),
+                       ["__g"], specs)
+    return pa.table({name: pa.array([0 if specs[name][1] in ("count", "count_distinct") else None],
+                                    empty.schema.field(name).type)
+                     for name in specs})

@@ -1,10 +1,12 @@
-"""Broadcast hash joins (inner / left / semi / anti).
+"""Joins: broadcast hash (inner / left / semi / anti) and range joins, and
+the big×big shuffle and interval joins on the two-sided plan
+(:func:`~.partition.co_partitioned_apply`).
 
-The small side is materialized ONCE into the object store (``ray.put``) and
-read zero-copy by every map task — never re-shipped per batch, never a
-shuffle (SURVEY.md §2.5 J2/J4).  Use for dimension tables (labels, skip
-lists, key sets); the as-of join (stages/asof.py) covers the big×big keyed
-case.
+A broadcast join's small side is materialized ONCE into the object store
+(``ray.put``) and read zero-copy by every map task — never re-shipped per
+batch, never a shuffle (SURVEY.md §2.5 J2/J4).  Use for dimension tables
+(labels, skip lists, key sets); the as-of join (stages/asof.py) covers the
+big×big keyed case.
 
 All per-batch work is vectorized Arrow kernels (``pc.is_in`` membership,
 ``pc.index_in`` + ``take`` gather) — no pandas conversion and no Python loop
@@ -17,12 +19,16 @@ the ``index2del`` skip list (:93-99).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
 from ray.data import Dataset
+
+from .partition import SIDE_COL, co_partitioned_apply, entity_segments
 
 
 def broadcast_join(
@@ -103,12 +109,12 @@ def shuffle_join(
     """Distributed equi-join of two big Datasets — neither side broadcast.
 
     The big×big case ``broadcast_join`` can't serve (at production scale
-    neither fact table fits one node): both sides are tagged, null-padded to
-    a common schema and unioned, then ONE hash-bucket exchange on the join
-    key co-locates every key's rows (the same `grouped_sorted_apply` spine
-    as the as-of join), and each bucket runs a vectorized Arrow hash join
-    (`pa.Table.join`, Acero) on its two sides.  Duplicate keys on BOTH sides
-    are fine (full m×n expansion per key, standard SQL semantics).
+    neither fact table fits one node): the as-of join's two-sided plan
+    (:func:`~.partition.co_partitioned_apply`) co-locates every key's rows
+    of both sides in ONE hash-bucket exchange on the join key, and each
+    bucket runs a vectorized Arrow hash join (`pa.Table.join`, Acero) on its
+    two sides.  Duplicate keys on BOTH sides are fine (full m×n expansion
+    per key, standard SQL semantics).
 
     how ∈ {'inner', 'left', 'full'}.  ``left_cols``/``right_cols`` are the payload
     columns to carry (prune at the read — a join that ships all columns is
@@ -119,6 +125,11 @@ def shuffle_join(
     emitted with the other side's payload null — Acero's hash join keeps
     SQL null-key non-matching inside the bucket.
 
+    An empty side that keeps its schema gets the SQL answer (the other
+    side's rows under 'left'/'full' where they survive, else no rows); a
+    side with no schema, as a row-wise ``filter`` that kept nothing leaves,
+    raises ``ValueError`` naming that side: its columns cannot be typed.
+
     Partitioning assumption: one key's rows fit in one bucket's memory —
     for a key hot enough to break that, fall back to ``broadcast_join`` for
     the small side of that key.  Reference analog: the record↔label merge
@@ -126,9 +137,6 @@ def shuffle_join(
     (/root/reference/challenge2020/preprocess/preprocess-300hz.py:142-152)
     generalized to fact×fact scale.
     """
-    from .asof import SIDE_COL  # noqa: PLC0415
-    from .partition import grouped_sorted_apply  # noqa: PLC0415
-
     if how not in ("inner", "left", "full"):
         raise ValueError(f"shuffle_join: how={how!r} not in ('inner', 'left', 'full')")
     left_cols = [c for c in left_cols if c != on]
@@ -136,48 +144,24 @@ def shuffle_join(
     # output name per right payload column (collision → suffix)
     right_out = {c: (c + suffix if c in left_cols else c) for c in right_cols}
 
-    lt_types = {c: left.schema().base_schema.field(c).type for c in left_cols}
-    rt_types = {c: right.schema().base_schema.field(c).type for c in right_cols}
-    key_t = left.schema().base_schema.field(on).type
-
     # Null join keys never match, so null-key RIGHT rows are dropped at the
-    # tag (inner-side too): they can contribute nothing.  Null-key LEFT rows
-    # survive only under how='left'; they hash through a null-coalesced
-    # shadow key (__jk) so bucket assignment never casts a null.
+    # projection unless how='full' keeps them, and null-key LEFT rows
+    # survive only under how='left'/'full'; they hash through a
+    # null-coalesced shadow key (__jk) so bucket assignment never casts a
+    # null.  The right key takes the left key's type in the union.
     jk = "__jk"
 
-    def tag_left(batch: pa.Table) -> pa.Table:
-        key = batch.column(on).cast(key_t)
-        if how == "inner":
+    def project(batch: pa.Table, keep_null: bool, cols: dict[str, str]) -> pa.Table:
+        key = batch.column(on)
+        if not keep_null:
             valid = pc.is_valid(key)
-            batch = batch.filter(valid)
-            key = key.filter(valid)
-        cols = {on: key, jk: pc.fill_null(key, _null_sentinel(key_t))}
-        for c in left_cols:
-            cols[c] = batch.column(c)
-        for c in right_cols:
-            cols[right_out[c]] = pa.nulls(batch.num_rows, rt_types[c])
-        cols[SIDE_COL] = pa.array(np.ones(batch.num_rows, dtype=np.int8))
-        return pa.table(cols)
+            batch, key = batch.filter(valid), key.filter(valid)
+        return pa.table({on: key, jk: pc.fill_null(key, _null_sentinel(key.type)),
+                         **{out: batch.column(c) for c, out in cols.items()}})
 
-    def tag_right(batch: pa.Table) -> pa.Table:
-        key = batch.column(on).cast(key_t)
-        if how != "full":
-            # null right keys can contribute nothing unless FULL keeps them
-            valid = pc.is_valid(key)
-            batch = batch.filter(valid)
-            key = key.filter(valid)
-        cols = {on: key, jk: pc.fill_null(key, _null_sentinel(key_t))}
-        for c in left_cols:
-            cols[c] = pa.nulls(batch.num_rows, lt_types[c])
-        for c in right_cols:
-            cols[right_out[c]] = batch.column(c)
-        cols[SIDE_COL] = pa.array(np.zeros(batch.num_rows, dtype=np.int8))
-        return pa.table(cols)
-
-    lt = left.map_batches(tag_left, batch_format="pyarrow", zero_copy_batch=True)
-    rt = right.map_batches(tag_right, batch_format="pyarrow", zero_copy_batch=True)
-    unioned = lt.union(rt)
+    project_left = functools.partial(project, keep_null=how != "inner",
+                                     cols={c: c for c in left_cols})
+    project_right = functools.partial(project, keep_null=how == "full", cols=right_out)
     out_names = [on] + left_cols + [right_out[c] for c in right_cols]
     join_type = {"inner": "inner", "left": "left outer", "full": "full outer"}[how]
 
@@ -186,17 +170,15 @@ def shuffle_join(
         lmask = side == 1
         ltbl = tbl.filter(pa.array(lmask)).select([on] + left_cols)
         rtbl = tbl.filter(pa.array(~lmask)).select([on] + [right_out[c] for c in right_cols])
-        # Null-key rows were stripped at the tag except left-side under
-        # how='left' — Acero's left-outer join emits those unmatched (the
-        # right build side holds no nulls to spuriously match).
+        # Null-key rows were stripped at the projection except where
+        # how='left'/'full' keeps them — Acero's outer joins emit those
+        # unmatched (SQL null keys never match).
         joined = ltbl.join(rtbl, keys=[on], join_type=join_type)
         # deterministic per-bucket order (Acero join order is nondet)
         return joined.select(out_names).sort_by([(c, "ascending") for c in out_names])
 
-    return grouped_sorted_apply(
-        unioned, jk, [SIDE_COL], per_bucket, num_buckets,
-        **map_groups_kwargs,
-    )
+    return co_partitioned_apply(left, right, project_left, project_right,
+                                jk, [], per_bucket, num_buckets, **map_groups_kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -277,26 +259,27 @@ def interval_join(
     timestamp, per entity — the sessionized-segment lookup (which session
     does this event/feature-row belong to?) as a distributed operator.
 
-    Both sides share ONE hash-bucket exchange on ``key`` (the
-    `grouped_sorted_apply` spine, sorted by [key, time, side]); per entity
-    segment the merge is a single `np.searchsorted` of left timestamps into
-    the interval ``lo`` edges plus an upper-bound check — O((n+m) log m) per
-    entity, no Python loop over rows.
+    Both sides share ONE hash-bucket exchange on ``key``, the two-sided
+    plan of :func:`~.partition.co_partitioned_apply` with each interval's
+    ``lo`` as the left timestamp's order column (sorted by [key, time,
+    side]); per entity segment the merge is a single `np.searchsorted` of
+    left timestamps into the interval ``lo`` edges plus an upper-bound
+    check — O((n+m) log m) per entity, no Python loop over rows.
 
     Contract: intervals of one entity must be NON-OVERLAPPING (validated,
     fail-loud — sessions/segments satisfy this by construction).  ``closed``
     ∈ {'both' ([lo, hi], session bounds = first/last event ts), 'left'
     ([lo, hi))}.  Null left timestamps and null interval bounds never match
     (SQL BETWEEN semantics); how='left' keeps unmatched left rows with null
-    interval payload.
+    interval payload.  An empty side that keeps its schema gets the SQL
+    answer (no intervals: no rows, or under 'left' every left row with a
+    null payload); a side with no schema raises ``ValueError`` naming that
+    side, as in :func:`shuffle_join`.
 
     Reference analog: assigning each beat/window back to its enclosing
     recording segment (extract_SHORT.py session rollups) — generalized to a
     two-input distributed join.
     """
-    from .asof import SIDE_COL  # noqa: PLC0415
-    from .partition import entity_segments, grouped_sorted_apply  # noqa: PLC0415
-
     if how not in ("inner", "left"):
         raise ValueError(f"interval_join: how={how!r} not in ('inner', 'left')")
     if closed not in ("both", "left"):
@@ -306,37 +289,20 @@ def interval_join(
     right_out = {c: (c + suffix if c in left_cols or c == left_ts else c) for c in right_cols}
 
     ts_t = pa.timestamp("us")
-    lt_types = {c: left.schema().base_schema.field(c).type for c in left_cols}
-    rt_types = {c: right.schema().base_schema.field(c).type for c in right_cols}
 
-    def tag_left(batch: pa.Table) -> pa.Table:
-        ts = batch.column(left_ts).cast(ts_t)
-        cols = {key: batch.column(key), "__t": ts,
-                "__hi": pa.nulls(batch.num_rows, ts_t)}
-        for c in left_cols:
-            cols[c] = batch.column(c)
-        for c in right_cols:
-            cols[right_out[c]] = pa.nulls(batch.num_rows, rt_types[c])
-        cols[SIDE_COL] = pa.array(np.ones(batch.num_rows, dtype=np.int8))
-        return pa.table(cols)
+    def project_left(batch: pa.Table) -> pa.Table:
+        return pa.table({key: batch.column(key), "__t": batch.column(left_ts).cast(ts_t),
+                         **{c: batch.column(c) for c in left_cols}})
 
-    def tag_right(batch: pa.Table) -> pa.Table:
+    def project_right(batch: pa.Table) -> pa.Table:
         lo = batch.column(right_lo).cast(ts_t)
         hi = batch.column(right_hi).cast(ts_t)
-        # null-bounded intervals can never contain anything — drop at the tag
+        # null-bounded intervals can never contain anything — drop them here
         valid = pc.and_(pc.is_valid(lo), pc.is_valid(hi))
         batch, lo, hi = batch.filter(valid), lo.filter(valid), hi.filter(valid)
-        cols = {key: batch.column(key), "__t": lo, "__hi": hi}
-        for c in left_cols:
-            cols[c] = pa.nulls(batch.num_rows, lt_types[c])
-        for c in right_cols:
-            cols[right_out[c]] = batch.column(c)
-        cols[SIDE_COL] = pa.array(np.zeros(batch.num_rows, dtype=np.int8))
-        return pa.table(cols)
+        return pa.table({key: batch.column(key), "__t": lo, "__hi": hi,
+                         **{out: batch.column(c) for c, out in right_out.items()}})
 
-    lt = left.map_batches(tag_left, batch_format="pyarrow", zero_copy_batch=True)
-    rt = right.map_batches(tag_right, batch_format="pyarrow", zero_copy_batch=True)
-    unioned = lt.union(rt)
     out_rcols = [right_out[c] for c in right_cols]
 
     def per_bucket(tbl: pa.Table) -> pa.Table:
@@ -378,27 +344,16 @@ def interval_join(
             take_right.append(np.where(inside, r_loc[safe] + s if r_loc.size else 0, -1))
             keep_mask.append(inside)
 
-        if not take_left:
-            return pa.table({c: pa.array([], tbl.schema.field(c).type)
-                             for c in [key, "__t"] + left_cols + out_rcols}
-                            ).rename_columns([key, left_ts] + left_cols + out_rcols)
-        li = np.concatenate(take_left)
-        ri = np.concatenate(take_right)
-        inside = np.concatenate(keep_mask)
+        li, ri, inside = (np.concatenate([np.zeros(0, t), *parts]) for t, parts in
+                          ((np.int64, take_left), (np.int64, take_right), (bool, keep_mask)))
         if how == "inner":
-            li, ri = li[inside], ri[inside]
-            inside = np.ones(li.size, dtype=bool)
-        lcols = {key: tbl.column(key).take(pa.array(li, pa.int64())),
-                 left_ts: tbl.column("__t").take(pa.array(li, pa.int64()))}
-        for c in left_cols:
-            lcols[c] = tbl.column(c).take(pa.array(li, pa.int64()))
+            li, ri, inside = li[inside], ri[inside], inside[inside]
+        out = tbl.select([key, "__t"] + left_cols).take(pa.array(li, pa.int64())) \
+                 .rename_columns([key, left_ts] + left_cols)
         r_take = pa.array(np.where(inside, ri, 0), pa.int64(), mask=~inside)
         for c in out_rcols:
-            lcols[c] = tbl.column(c).take(r_take)
-        out = pa.table(lcols)
+            out = out.append_column(c, tbl.column(c).take(r_take))
         return out.sort_by([(c, "ascending") for c in [key, left_ts] + left_cols])
 
-    return grouped_sorted_apply(
-        unioned, key, ["__t", SIDE_COL], per_bucket, num_buckets,
-        **map_groups_kwargs,
-    )
+    return co_partitioned_apply(left, right, project_left, project_right,
+                                key, ["__t"], per_bucket, num_buckets, **map_groups_kwargs)

@@ -25,6 +25,7 @@ bucket id depends only on the key and the plan (:func:`bucket_ids`).
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -36,6 +37,8 @@ from ray.data import Dataset
 from ..functions.hashing import bucket_of_ints, bucket_of_strings
 
 BUCKET_COL = "__bucket"
+# the two-sided union's side flag: 1 = left (query) rows, 0 = right (event) rows
+SIDE_COL = "__side"
 # an entity costing this share of a bucket or more is LPT-placed
 HEAVY_FRAC = 0.25
 
@@ -200,6 +203,93 @@ def grouped_sorted_apply(
 
     return bucketed.groupby(BUCKET_COL).map_groups(
         per_bucket, batch_format="pyarrow", **map_groups_kwargs
+    )
+
+
+def _tag(own: pa.Table, other: pa.Schema, flag: int) -> pa.Table:
+    """One side's projected rows in the union's layout: the left side's
+    columns, then the right side's others, each column of ``other`` alone a
+    typed null, a shared column in the left side's type, then the int8
+    ``SIDE_COL`` ``flag`` (1 = left)."""
+    left, right = (own.schema, other) if flag else (other, own.schema)
+    n = own.num_rows
+    cols = {}
+    for f in [*left, *(f for f in right if f.name not in left.names)]:
+        col = own.column(f.name) if f.name in own.column_names else pa.nulls(n, f.type)
+        cols[f.name] = col if col.type == f.type else col.cast(f.type)
+    cols[SIDE_COL] = pa.array(np.full(n, flag, np.int8))
+    return pa.table(cols)
+
+
+def tag_side(batch: pa.Table, project: Callable, other: pa.Schema, flag: int) -> pa.Table:
+    """One input's tag function: :func:`_tag` of its projected batch."""
+    return _tag(project(batch), other, flag)
+
+
+def _tag_both(batch: pa.Table, project_left: Callable, project_right: Callable) -> pa.Table:
+    lb, rb = project_left(batch), project_right(batch)
+    return pa.concat_tables([_tag(lb, rb.schema, 1), _tag(rb, lb.schema, 0)])
+
+
+def _schema(ds: Dataset, side: str) -> pa.Schema:
+    schema = ds.schema()
+    if schema is None:
+        raise ValueError(f"the {side} side of the join is empty and carries no schema "
+                         "(a row-wise filter that kept nothing), so it cannot be typed")
+    return schema.base_schema
+
+
+def co_partitioned_apply(
+    left: Dataset,
+    right: "Dataset | Callable[[Callable], Dataset] | None",
+    project_left: Callable[[pa.Table], pa.Table],
+    project_right: Callable[[pa.Table], pa.Table],
+    key: str,
+    order_by: list[str],
+    fn: Callable[[pa.Table], pa.Table],
+    num_buckets: int,
+    explicit_map: dict | None = None,
+    skip_buckets: set[int] | None = None,
+    keep_bucket_col: bool = False,
+    **map_groups_kwargs,
+) -> Dataset:
+    """The two-sided plan behind every join: tag both sides, union them,
+    and :func:`grouped_sorted_apply` ``fn`` over the union sorted by
+    ``[key, *order_by, SIDE_COL]`` — one exchange co-partitions both.
+
+    ``project_left``/``project_right`` map a batch of one side to its own
+    columns (key, order, payload; rows may drop).  The tag pads the other
+    side's columns with typed nulls and appends ``SIDE_COL`` (:func:`_tag`),
+    taking the types from the other side's projection:
+
+    - ``right`` a Dataset: each input's schema is read once, here, and
+      projected as a zero-row batch.  An input without a schema raises
+      ``ValueError`` naming the side; an empty one with a schema has no rows.
+    - ``right`` ``None``: a self-join.  Both sides are projected from each
+      batch of ``left``, whose types are at hand; no schema is read.
+    - ``right`` a function: it takes the right side's tag function and
+      returns the tagged side (the flagship tags inside its decode tasks),
+      whose schema gives the right side's types — materialize it.
+    """
+    kw = {"batch_format": "pyarrow", "zero_copy_batch": True}
+    if right is None:
+        tagged = left.map_batches(functools.partial(
+            _tag_both, project_left=project_left, project_right=project_right), **kw)
+    else:
+        left_types = project_left(_schema(left, "left").empty_table()).schema
+        tag_right = functools.partial(tag_side, project=project_right, other=left_types, flag=0)
+        if isinstance(right, Dataset):
+            right_types = project_right(_schema(right, "right").empty_table()).schema
+            right = right.map_batches(tag_right, **kw)
+        else:
+            right = right(tag_right)
+            schema = _schema(right, "right")
+            right_types = schema.remove(schema.get_field_index(SIDE_COL))
+        tagged = left.map_batches(functools.partial(
+            tag_side, project=project_left, other=right_types, flag=1), **kw).union(right)
+    return grouped_sorted_apply(
+        tagged, key, [*order_by, SIDE_COL], fn, num_buckets, explicit_map=explicit_map,
+        skip_buckets=skip_buckets, keep_bucket_col=keep_bucket_col, **map_groups_kwargs,
     )
 
 

@@ -89,14 +89,6 @@ def rolling_mean(values: np.ndarray, row_start: np.ndarray, k: int) -> np.ndarra
     return (csum[np.arange(n) + 1] - csum[lo]) / (np.arange(n) + 1 - lo)
 
 
-def rolling_sum_count(values: np.ndarray, row_start: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    n = values.size
-    csum = np.concatenate(([0.0], np.cumsum(values)))
-    lo = np.maximum(np.arange(n) - k + 1, row_start)
-    cnt = np.arange(n) + 1 - lo
-    return csum[np.arange(n) + 1] - csum[lo], cnt
-
-
 def prefix_mean(values: np.ndarray, row_start: np.ndarray) -> np.ndarray:
     """Running mean from entity start through the current row (expanding window)."""
     n = values.size

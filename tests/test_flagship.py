@@ -208,7 +208,7 @@ def test_bucket_plan_places_hot_entity_alone(fixture_events, fixture_queries):
         assert [k for k, b in plan.items() if b == plan[hot]] == [hot]
 
 
-def test_checkpointed_salted_plan_resume_and_balance(
+def test_checkpointed_lpt_plan_resume_and_balance(
     fixture_events, fixture_queries, oracle_result, tmp_path
 ):
     """The checkpointed path gets the SAME cost-model plan as the throughput
@@ -338,21 +338,30 @@ def test_commit_partition_idempotent_retry(tmp_path):
         )
 
 
-def test_decode_is_one_fused_task_per_fragment(fixture_events):
+def test_decode_is_one_fused_task_per_fragment(fixture_events, fixture_queries):
     """The flagship's staged event side is one fused read→decode→tag
     operator holding at most one block per fragment (a split read leaves
     many more), and holds exactly the tagged decode of every event row, one
     tagged row per decoded event."""
+    import functools
+
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray
 
-    from ecg_feature_engineering_ray.pipelines.flagship import _tagged_events, tag_right
+    from ecg_feature_engineering_ray.pipelines.flagship import (
+        _project_events,
+        _project_queries,
+        _tagged_events,
+    )
     from ecg_feature_engineering_ray.sources.readers import list_fragments
     from ecg_feature_engineering_ray.stages.decode import decode_batch
+    from ecg_feature_engineering_ray.stages.partition import tag_side
 
-    events_dir, _ = fixture_events
-    ds = _tagged_events(events_dir)
+    events_dir, queries_path = fixture_events[0], fixture_queries
+    query_cols = _project_queries(pq.read_table(queries_path).slice(0, 0)).schema
+    tag_right = functools.partial(tag_side, project=_project_events, other=query_cols, flag=0)
+    ds = _tagged_events(events_dir, tag_right)
     assert ds.num_blocks() <= len(list_fragments(events_dir))
     assert "ReadFragmentStream->MapBatches(decode_then)" in ds.stats()
     order = [("image_id", "ascending"), ("__ts", "ascending")]

@@ -1,6 +1,7 @@
 """``grouped_agg`` answers as DuckDB does on NaN, null and all-NaN groups,
 whether the rows arrive in one block or in two, and its merge step returns
-the declared schema on zero rows."""
+the declared schema on zero rows; ``global_agg`` answers as DuckDB does,
+zero rows included."""
 
 import math
 
@@ -9,7 +10,7 @@ import pyarrow as pa
 import pytest
 import ray
 
-from ecg_feature_engineering_ray.stages.groupagg import _final_agg, _partial_agg, grouped_agg
+from ecg_feature_engineering_ray.stages.groupagg import _final_agg, _partial_agg, global_agg, grouped_agg
 
 NAN = float("nan")
 SQL = {
@@ -85,3 +86,18 @@ def test_grouped_agg_zero_rows_declared_schema():
         out = _final_agg(partial, ["g"], SPECS)
         assert out.num_rows == 0 and out.schema == want
     assert grouped_agg(ray.data.from_arrow(empty), ["g"], SPECS).take_all() == []
+
+
+@pytest.mark.parametrize("rows", [[r for r in BLOCK_1 + BLOCK_2 if r[0] == "d"], []],
+                         ids=["plain_rows", "zero_rows"])
+def test_global_agg_matches_duckdb(rows):
+    con = duckdb.connect()
+    con.register("t", _table(rows))
+    cols = ", ".join(f"{SQL[fn]} AS {fn}" for fn in SQL)
+    want = con.sql(f"SELECT {cols}, count(*) AS rows FROM t").arrow()
+    got = global_agg(ray.data.from_arrow(_table(rows)), SPECS)
+    assert got.schema == want.schema
+    assert got.num_rows == 1
+    bad = [f"{c}: got {got[c][0].as_py()!r}, DuckDB {want[c][0].as_py()!r}"
+           for c in want.column_names if not _same(got[c][0].as_py(), want[c][0].as_py())]
+    assert not bad, bad
