@@ -351,30 +351,3 @@ def join_families(
 
     return grouped_sorted_apply(decoded, "image_id", ["ts"], per_bucket, num_buckets)
 
-
-def top_k_features_by_variance(joined: Dataset, k: int = 50) -> list[str]:
-    """O4 analog (top-k by importance, xgboost_clf.py:242-248): rank feature
-    columns by variance via a single partial-agg pass; returns column names.
-
-    The per-block partials (cols × blocks rows) are reduced by a DISTRIBUTED
-    ``groupby(col).sum`` before anything reaches the driver — at 100-TB block
-    counts the partial stream is itself large; only the ≤ n_cols final rows
-    land driver-side."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        num_cols = [c for c in batch.column_names if c not in ("image_id", "label")]
-        sums, sqs, ns = [], [], []
-        for c in num_cols:
-            x = np.asarray(batch.column(c).combine_chunks(), dtype=np.float64)
-            x = x[np.isfinite(x)]
-            sums.append(x.sum())
-            sqs.append(float((x**2).sum()))
-            ns.append(x.size)
-        return pa.table({"col": pa.array(num_cols), "s": pa.array(sums),
-                         "ss": pa.array(sqs), "n": pa.array(ns, pa.int64())})
-
-    parts = joined.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    agg = parts.groupby("col").sum(["s", "ss", "n"]).to_pandas().set_index("col")
-    n = agg["sum(n)"].clip(lower=1)
-    var = (agg["sum(ss)"] - agg["sum(s)"] ** 2 / n) / n
-    return list(var.sort_values(ascending=False).head(k).index)

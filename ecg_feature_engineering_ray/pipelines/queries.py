@@ -1230,8 +1230,8 @@ def _bucketed_candidate_pairs(
     overlap ≤ bound(i_a,i_b) = min(i_a,i_b) + min(n_a−i_a, n_b−i_b).
     J ≥ τ needs overlap ≥ α = ⌈τ/(1+τ)·(n_a+n_b)⌉ (integer form below), so
     ``slack = bound − α < 0`` at ANY co-occurrence proves the pair dead —
-    the caller aggregates ``min(slack)`` per pair (a native hash-aggregate,
-    the same exchange the dedup already pays) and drops negatives before
+    the caller aggregates ``min(slack)`` per pair (``grouped_agg``, the
+    same exchange the dedup already pays) and drops negatives before
     the expensive text-routing verify.  Exact-sound: no false negatives."""
 
     def per_bucket(tbl: pa.Table) -> pa.Table:
@@ -1283,12 +1283,6 @@ def _bucketed_candidate_pairs(
         return pa.table(cols)
 
     return grouped_sorted_apply(emitted, key, [], per_bucket, NB)
-
-
-def _dedup_pairs(pairs):
-    """Distinct (doc_a, doc_b) via Ray's native hash-aggregate count —
-    vectorized, versus a per-pair pandas ``map_groups(head(1))``."""
-    return pairs.groupby(["doc_a", "doc_b"]).count().select_columns(["doc_a", "doc_b"])
 
 
 def _distributed_jaccard_verify(
@@ -1601,7 +1595,7 @@ def near_dup_pairs(sf_dir: str, num_perm: int = 16, bands: int = 4, max_bucket: 
     # materialize() pins the deduped stream in the object store so the two
     # consumers below (bloom aggregate + routing union) don't re-run the
     # minhash lineage over the corpus.
-    deduped = _dedup_pairs(pairs).materialize()
+    deduped = grouped_agg(pairs, ["doc_a", "doc_b"], {}).materialize()
 
     return _distributed_jaccard_verify(ds, deduped, T.char_ngrams, 0.5)
 
@@ -1647,8 +1641,8 @@ def ngram_jaccard_pairs(sf_dir: str, tau_num: int = 3, tau_den: int = 5, max_buc
     heuristic: rare grams land in prefixes, so blocking buckets stay tiny),
     ties and tail broken by md5.  Correctness needs only that the order is
     the same TOTAL order for every doc, which holds because the rank map is
-    computed once globally: a distinct-gram-per-doc stream → native
-    ``groupby(gram).count()`` → top ``hot_k`` multi-doc grams broadcast via
+    computed once globally: a distinct-gram-per-doc stream → a
+    ``grouped_agg`` count per gram → top ``hot_k`` multi-doc grams broadcast via
     ``ray.put`` (singleton grams can never pair, so the map is bounded by
     the multi-doc vocabulary, further capped by ``hot_k``; grams outside
     the map share rank −1 and order among themselves by md5).  This is the
@@ -1686,7 +1680,7 @@ def ngram_jaccard_pairs(sf_dir: str, tau_num: int = 3, tau_den: int = 5, max_buc
     rank_ref = None
     if freq_order:
         # global gram document-frequency rank: distinct grams per doc →
-        # native hash-aggregate count → top hot_k multi-doc grams (sorted
+        # grouped count → top hot_k multi-doc grams (sorted
         # ascending df so RANK ORDER = ascending frequency; most frequent
         # grams sort LAST in every doc's canonical order)
         def emit_grams(batch: pa.Table) -> pa.Table:
@@ -1696,15 +1690,15 @@ def ngram_jaccard_pairs(sf_dir: str, tau_num: int = 3, tau_den: int = 5, max_buc
                 out.extend(md5_hex(g)[:16] for g in T.token_ngrams(t, 3))
             return pa.table({"gram": pa.array(out, pa.string())})
 
-        counts = (
-            ds.map_batches(emit_grams, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("gram").count()
+        counts = grouped_agg(
+            ds.map_batches(emit_grams, batch_format="pyarrow", zero_copy_batch=True),
+            ["gram"], {"n": ("*", "count")},
         )
         multi = counts.map_batches(
-            lambda b: b.filter(pc.greater(b.column("count()"), 1)),
+            lambda b: b.filter(pc.greater(b.column("n"), 1)),
             batch_format="pyarrow", zero_copy_batch=True,
         )
-        hot = multi.sort(["count()", "gram"], descending=[True, False]).limit(hot_k)
+        hot = multi.sort(["n", "gram"], descending=[True, False]).limit(hot_k)
         # bounded by hot_k rows (16-hex string + count) — broadcast-size
         hot_grams_desc = [r["gram"] for r in hot.take_all()]
         rank_ref = ray.put({g: len(hot_grams_desc) - i for i, g in enumerate(hot_grams_desc)})
@@ -1751,16 +1745,16 @@ def ngram_jaccard_pairs(sf_dir: str, tau_num: int = 3, tau_den: int = 5, max_buc
     # pair dedup doubles as the POSITIONAL-filter reduce: min(slack) over a
     # pair's co-occurrences < 0 proves overlap < α (see
     # _bucketed_candidate_pairs), so the pair dies here — before its texts
-    # are routed and re-shingled in the verify exchange.  Same native
-    # hash-aggregate the plain dedup already paid, so the filter is ~free.
+    # are routed and re-shingled in the verify exchange.  The min rides the
+    # grouped_agg exchange the plain dedup pays anyway, so the filter is ~free.
     # Its kill rate is corpus-dependent: strong when candidate sizes are
     # diverse (the classical PPJoin setting), weak on the synthetic bench
     # corpus where near-equal gram-set sizes keep every positional bound
     # above α (measured sf0.1: 290 789 → 287 635, ~1%).
-    agg = pairs.groupby(["doc_a", "doc_b"]).min("slack")
+    agg = grouped_agg(pairs, ["doc_a", "doc_b"], {"slack": ("slack", "min")})
 
     def alive(batch: pa.Table) -> pa.Table:
-        keep = pc.greater_equal(batch.column("min(slack)"), 0)
+        keep = pc.greater_equal(batch.column("slack"), 0)
         return batch.filter(keep).select(["doc_a", "doc_b"])
 
     deduped = agg.map_batches(alive, batch_format="pyarrow", zero_copy_batch=True).materialize()
@@ -2392,15 +2386,8 @@ def embedding_near_dups(sf_dir: str, threshold: float = NEAR_DUP_COS,
     p1 = grouped_sorted_apply(banded, "b1", ["vec_id"], verify_table("b1"), NB)
     p2 = grouped_sorted_apply(banded, "b2", ["vec_id"], verify_table("b2"), NB)
 
-    # cross-table dedup: cosine is a pure function of the pair, min() = the
-    # value — native hash-aggregate, no per-pair pandas groups
-    out = p1.union(p2).groupby(["vec_a", "vec_b"]).min("cosine")
-    return out.map_batches(
-        lambda t: t.rename_columns(
-            ["cosine" if c == "min(cosine)" else c for c in t.column_names]
-        ),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
+    # cross-table dedup: cosine is a pure function of the pair, min() = the value
+    return grouped_agg(p1.union(p2), ["vec_a", "vec_b"], {"cosine": ("cosine", "min")})
 
 
 _DENOISE_EXPECTED = "/tmp/efr_expected_denoised.parquet"
@@ -3259,15 +3246,8 @@ def simhash_near_dups(sf_dir: str, max_hamming: int = 3, max_bucket: int = 4096)
 
     pairs = grouped_sorted_apply(banded, "bkey", ["doc_id"], per_bucket, NB)
     # cross-band dedup: hamming is a pure function of the two simhashes, so
-    # min() over a pair's band copies IS the pair's hamming — native
-    # hash-aggregate, no per-pair pandas groups
-    out = pairs.groupby(["doc_a", "doc_b"]).min("hamming")
-    return out.map_batches(
-        lambda t: t.rename_columns(
-            ["hamming" if c == "min(hamming)" else c for c in t.column_names]
-        ),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
+    # min() over a pair's band copies IS the pair's hamming
+    return grouped_agg(pairs, ["doc_a", "doc_b"], {"hamming": ("hamming", "min")})
 
 
 @register(
@@ -3604,15 +3584,15 @@ def heavy_hitter_tokens(sf_dir: str, k: int = _HH_K):
         })
 
     partials = ds.map_batches(sketch, batch_format="pyarrow", zero_copy_batch=True)
-    agg = partials.groupby(["token", "is_total"]).sum("cnt").materialize()
+    agg = grouped_agg(partials, ["token", "is_total"], {"cnt": ("cnt", "sum")}).materialize()
     tot_rows = agg.map_batches(
         lambda b: b.filter(b.column("is_total")), batch_format="pyarrow", zero_copy_batch=True
     ).take_all()
-    n = sum(r["sum(cnt)"] for r in tot_rows)  # exact Σ len(string_split)
+    n = sum(r["cnt"] for r in tot_rows)  # exact Σ len(string_split)
 
     def candidates(b: pa.Table) -> pa.Table:
         m = pc.and_(pc.invert(b.column("is_total")),
-                    pc.greater(pc.multiply(b.column("sum(cnt)"), k), n))
+                    pc.greater(pc.multiply(b.column("cnt"), k), n))
         return b.filter(m).select(["token"])
 
     cand = agg.map_batches(candidates, batch_format="pyarrow", zero_copy_batch=True).take_all()
@@ -3623,18 +3603,12 @@ def heavy_hitter_tokens(sf_dir: str, k: int = _HH_K):
         hit = flat.filter(pc.is_in(flat, value_set=ray.get(cand_ref)))
         return pa.table({"token": hit})
 
-    exact = (
-        ds.map_batches(recount, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("token").count()
+    exact = grouped_agg(ds.map_batches(recount, batch_format="pyarrow", zero_copy_batch=True),
+                        ["token"], {"n_occurrences": ("*", "count")})
+    return exact.map_batches(
+        lambda b: b.filter(pc.greater(pc.multiply(b.column("n_occurrences"), k // 2), n)),
+        batch_format="pyarrow", zero_copy_batch=True,
     )
-
-    def shape(b: pa.Table) -> pa.Table:
-        m = pc.greater(pc.multiply(b.column("count()"), k // 2), n)
-        out = b.filter(m)
-        return pa.table({"token": out.column("token"),
-                         "n_occurrences": out.column("count()").cast(pa.int64())})
-
-    return exact.map_batches(shape, batch_format="pyarrow", zero_copy_batch=True)
 
 
 _QTILES = (0.25, 0.5, 0.75, 0.9)
@@ -3814,23 +3788,16 @@ def _vocab(ds, count: tuple[str, str], max_vocab: int):
     — a term-sorted string array put in the object store and its int64
     counts — or None when the corpus has no term.
 
-    ``count`` is the per-batch aggregate over :func:`_doc_term_counts`
+    ``count`` is the ``grouped_agg`` spec over :func:`_doc_term_counts`
     rows: ``("doc_id", "count")`` gives document frequencies, ``("cnt",
-    "sum")`` term counts.  Per-batch partial counts collapse to (term,
-    partial) rows and ONE vocabulary-sized ``groupby(term).sum`` exchange
-    merges them: O(vocab × blocks) rows ship, never a token stream (a
-    document never spans batches, so partials sum exactly).  The model is
+    "sum")`` term counts.  ``grouped_agg`` collapses each batch to (term,
+    partial) rows and merges them in ONE vocabulary-sized exchange:
+    O(vocab × blocks) rows ship, never a token stream.  The model is
     broadcast to pass 2, so the vocabulary must fit a worker heap: more than
     ``max_vocab`` terms fails loud.  Sorting by term makes ``index_in``
     positions double as lexicographic term ranks."""
-    col, fn = count
-
-    def partials(batch: pa.Table) -> pa.Table:
-        g = _doc_term_counts(batch).group_by("term").aggregate([count])
-        return pa.table({"term": g.column("term"), "n": g.column(f"{col}_{fn}").cast(pa.int64())})
-
-    vds = ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True) \
-            .groupby("term").sum("n").materialize()
+    vds = grouped_agg(ds.map_batches(_doc_term_counts, batch_format="pyarrow", zero_copy_batch=True),
+                      ["term"], {"n": count}).materialize()
     n_vocab = vds.count()
     if n_vocab > max_vocab:
         raise ValueError(
@@ -3838,14 +3805,14 @@ def _vocab(ds, count: tuple[str, str], max_vocab: int):
             f"{max_vocab}: route pass 2 through a token-keyed shuffle join "
             "instead of the model broadcast"
         )
-    # a groupby output can contain zero-row blocks whose schema is empty —
-    # concat only the populated ones
+    # a grouped_agg output can contain zero-row blocks whose schema is
+    # empty — concat only the populated ones
     parts = [t for t in ray.get(vds.to_arrow_refs()) if t.num_rows]
     if not parts:
         return None
     vocab = pa.concat_tables(parts).sort_by("term")
     return (ray.put(vocab.column("term").combine_chunks()),
-            vocab.column("sum(n)").combine_chunks().to_numpy(zero_copy_only=False))
+            vocab.column("n").combine_chunks().to_numpy(zero_copy_only=False))
 
 
 _TFIDF_K = 3
@@ -3994,15 +3961,13 @@ def dup_clusters(sf_dir: str, max_rounds: int = 64):
       global round collapses everything locally connected inside a
       bucket, and the number of GLOBAL rounds is the diameter of the
       contracted bucket graph (2-3 in practice), not of the document
-      graph.  Cross-bucket merge is one ``groupby(node).min`` of the
-      per-bucket emissions, O(vertices × buckets-touched) rows.
-    - **Iteration state stays tiny and native**: per-round state is
-      (node, label) pairs — orders of magnitude smaller than the corpus —
-      merged with Ray's native sort-groupby (the partial/final
-      ``grouped_agg`` spine would pay corpus-scale machinery for nothing
-      here; measured ~5× the fixed cost on iteration-sized data).  Labels
-      decrease monotonically, so the global label sum (one native
-      ``sum()``) is the convergence test, fail-loud at ``max_rounds``.
+      graph.  Cross-bucket merge is one ``grouped_agg`` min per node of
+      the per-bucket emissions, O(vertices × buckets-touched) rows.
+    - **Iteration state stays tiny**: per-round state is (node, label)
+      pairs — orders of magnitude smaller than the corpus.  Labels
+      decrease monotonically, so the global label sum (one
+      ``global_agg``) is the convergence test, fail-loud at
+      ``max_rounds``.
 
     The DuckDB oracle computes the same components by recursive transitive
     closure — tractable there because oracle fixtures have small clusters;
@@ -4041,11 +4006,8 @@ def dup_clusters(sf_dir: str, max_rounds: int = 64):
         m = d != roots
         return pa.table({"u": pa.array(d[m]), "v": pa.array(roots[m])})
 
-    edges = (
-        grouped_sorted_apply(fp_rows, "h", ["doc_id"], star, NB)
-        .groupby(["u", "v"]).count()
-        .drop_columns(["count()"]).materialize()
-    )
+    edges = grouped_agg(grouped_sorted_apply(fp_rows, "h", ["doc_id"], star, NB),
+                        ["u", "v"], {}).materialize()
     if edges.count() == 0:
         return pa.table({"doc_id": pa.array([], pa.int64()),
                          "canonical_id": pa.array([], pa.int64()),
@@ -4060,7 +4022,7 @@ def dup_clusters(sf_dir: str, max_rounds: int = 64):
     def tag_lab(b: pa.Table) -> pa.Table:
         return pa.table({
             "key": b.column("node"), "tag": pa.array(np.zeros(b.num_rows, np.int8)),
-            "val": b.column("min(val)"), "dst": b.column("node"),
+            "val": b.column("label"), "dst": b.column("node"),
         })
 
     def tag_edge(b: pa.Table) -> pa.Table:
@@ -4101,7 +4063,7 @@ def dup_clusters(sf_dir: str, max_rounds: int = 64):
                 break
         return pa.table({"node": pa.array(ids), "val": pa.array(lab)})
 
-    labels = None  # (node, "min(val)") Dataset; round 1 derives from edges
+    labels = None  # (node, label) Dataset; round 1 derives from edges
     prev_sum = None
     for _ in range(max_rounds):
         tagged = und.map_batches(tag_edge, batch_format="pyarrow",
@@ -4110,8 +4072,8 @@ def dup_clusters(sf_dir: str, max_rounds: int = 64):
             tagged = tagged.union(labels.map_batches(
                 tag_lab, batch_format="pyarrow", zero_copy_batch=True))
         msgs = grouped_sorted_apply(tagged, "key", ["tag"], prop, NB)
-        labels = msgs.groupby("node").min("val").materialize()
-        s = int(labels.sum("min(val)"))
+        labels = grouped_agg(msgs, ["node"], {"label": ("val", "min")}).materialize()
+        s = global_agg(labels, {"s": ("label", "sum")})["s"][0].as_py()
         if s == prev_sum:
             break
         prev_sum = s
@@ -4121,11 +4083,6 @@ def dup_clusters(sf_dir: str, max_rounds: int = 64):
             "rounds — component diameter exceeds the bound; raise max_rounds "
             "or switch to large-star/small-star"
         )
-
-    named = labels.map_batches(
-        lambda b: pa.table({"node": b.column("node"), "label": b.column("min(val)")}),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
 
     def finalize(tbl: pa.Table) -> pa.Table:
         lab = np.asarray(tbl.column("label").combine_chunks())
@@ -4144,7 +4101,7 @@ def dup_clusters(sf_dir: str, max_rounds: int = 64):
             "cluster_size": pa.array(counts[seg_id].astype(np.int64)),
         })
 
-    return grouped_sorted_apply(named, "label", ["node"], finalize, NB)
+    return grouped_sorted_apply(labels, "label", ["node"], finalize, NB)
 
 
 # ---------------------------------------------------------------------------
@@ -4688,7 +4645,7 @@ def kmeans_embeddings(sf_dir: str, k: int = _KM_K, iters: int = _KM_ITERS):
     seeding).  Iterative-algorithm shape on Ray Data: per iteration ONE
     streaming pass emits per-batch per-cluster sufficient statistics
     (fixed-point coordinate sums + counts, ≤ k×(d+1) rows per batch),
-    one tiny ``groupby.sum`` reduces them, and the k×d centroid model —
+    one tiny ``grouped_agg`` sum reduces them, and the k×d centroid model —
     bounded by model size, never by data size — is broadcast back via
     ``ray.put``.  Centroid updates are EXACT fixed-point (Σ rint(x·2²⁰) /
     (n·2²⁰)) so the result is independent of block count / summation order:
@@ -4724,7 +4681,7 @@ def _lloyd_centroids(ds, k: int, iters: int, m: int = 1) -> np.ndarray:
     ``knn_ivf``); m > 1 trains ``pq_codes``' subspace codebooks together.
     Every codebook starts from the vectors with ids 0..k-1.  Per pass: one
     streaming map emits ≤ m×k×(d/m+1) fixed-point sufficient-statistic rows
-    per batch (:func:`_lloyd_partials`), one tiny ``groupby.sum`` reduces,
+    per batch (:func:`_lloyd_partials`), one tiny ``grouped_agg`` sum reduces,
     and centroids update as Σ rint(x·2²⁰)/(n·2²⁰) — exact integer
     arithmetic, so the result is independent of block count and
     reproducible by the single-threaded oracle twins.  Empty clusters keep
@@ -4746,17 +4703,17 @@ def _lloyd_centroids(ds, k: int, iters: int, m: int = 1) -> np.ndarray:
         def partials(batch: pa.Table) -> pa.Table:
             return _lloyd_partials(batch, ray.get(cref))
 
-        stats = ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True) \
-                  .groupby("key").sum("s").take_all()
+        stats = grouped_agg(ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True),
+                            ["key"], {"s": ("s", "sum")}).take_all()
         sums = np.zeros((m, k, dsub), dtype=np.int64)
         cnts = np.zeros((m, k), dtype=np.int64)
         for r in stats:
             mi, rest = divmod(int(r["key"]), k * (dsub + 1))
             cl, slot = divmod(rest, dsub + 1)
             if slot == 0:
-                cnts[mi, cl] = r["sum(s)"]
+                cnts[mi, cl] = r["s"]
             else:
-                sums[mi, cl, slot - 1] = r["sum(s)"]
+                sums[mi, cl, slot - 1] = r["s"]
         nz = cnts > 0
         codebooks = codebooks.copy()
         codebooks[nz] = sums[nz] / (cnts[nz, None] * _KM_SCALE)
@@ -5442,7 +5399,7 @@ def phash_near_dups(sf_dir: str):
     equals the all-pairs SQL oracle.  One canonicalizing aggregate
     (min phash per image), one banded-bucket exchange with vectorized
     segment pairing (fail-loud ``max_bucket``), Hamming computed map-side
-    (SWAR popcount) BEFORE the pair-dedup hash-aggregate — no all-pairs
+    (SWAR popcount) BEFORE the pair-dedup ``grouped_agg`` — no all-pairs
     stage, no driver materialization."""
     events_dir, _ = _fixture(sf_dir)
     from ..sources.readers import read_events
@@ -5507,16 +5464,7 @@ def phash_near_dups(sf_dir: str):
         return pa.table({"id_a": lo, "id_b": hi, "dist": pa.array(d, pa.int64())})
 
     pairs = grouped_sorted_apply(emitted, "band_key", ["image_id"], pair_bucket, NB)
-    dedup = pairs.groupby(["id_a", "id_b"]).min("dist")
-
-    def shape(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "id_a": batch.column("id_a"),
-            "id_b": batch.column("id_b"),
-            "dist": batch.column("min(dist)").cast(pa.int64()),
-        })
-
-    return dedup.map_batches(shape, batch_format="pyarrow", zero_copy_batch=True)
+    return grouped_agg(pairs, ["id_a", "id_b"], {"dist": ("dist", "min")})
 
 
 # ---------------------------------------------------------------------------
@@ -6049,7 +5997,7 @@ def unigram_logprob_docs(sf_dir: str, max_vocab: int = _LM_MAX_VOCAB):
     preprocess-300hz.py:133-141 lifted to an open token vocabulary.
 
     Same two-pass Spark-MLlib shape as ``tfidf_top_terms``: (1) ONE
-    vocabulary-sized ``groupby(term).sum`` over per-batch partial counts —
+    vocabulary-sized ``grouped_agg`` sum over per-batch partial counts —
     O(vocab × blocks) rows ship, never a token stream; (2) the finished
     log-prob table is broadcast once (``ray.put``) and every batch scores
     its documents locally.  The per-token log-prob is QUANTIZED to int64
@@ -6150,18 +6098,9 @@ def shuffle_shard_manifest(sf_dir: str, n_shards: int = _SHARDS_N):
 
     # tiny exchange: per-(range, shard) counts → driver exclusive scan over
     # the bounded 256×n_shards grid → broadcast offset matrix
-    def grid_partials(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["rng", "shard"]).aggregate([("doc_id", "count")])
-        return pa.table({"cell": pc.add(pc.multiply(g.column("rng"), n_shards),
-                                        g.column("shard")).cast(pa.int64()),
-                         "n_part": g.column("doc_id_count").cast(pa.int64())})
-
-    grid = kds.map_batches(grid_partials, batch_format="pyarrow", zero_copy_batch=True) \
-              .groupby("cell").sum("n_part").take_all()
     counts = np.zeros((_SHARD_RNG, n_shards), dtype=np.int64)
-    for r in grid:
-        rg, sh = divmod(int(r["cell"]), n_shards)
-        counts[rg, sh] = int(r["sum(n_part)"])
+    for r in grouped_agg(kds, ["rng", "shard"], {"n": ("*", "count")}).take_all():
+        counts[r["rng"], r["shard"]] = r["n"]
     offs = np.cumsum(counts, axis=0) - counts  # exclusive scan per shard
     oref = ray.put(offs)
 
@@ -6221,7 +6160,7 @@ def pq_codes(sf_dir: str, m: int = _PQ_M, k: int = _PQ_K, iters: int = _KM_ITERS
     with the SHARED exact fixed-point Lloyd trainer (``_lloyd_centroids``,
     also the k-means/IVF core) over a pruned subvector projection, so the
     whole operator inherits the bounded-exchange scaling story: per pass,
-    ≤ k×(d/m+1) sufficient-statistic rows per batch, one tiny groupby, and
+    ≤ k×(d/m+1) sufficient-statistic rows per batch, one tiny grouped sum, and
     the m×k×(d/m) codebook broadcast back via ``ray.put``.  Assignment is
     one streaming pass; ties break toward the lower code (np.argmin).  At
     100 TB the trainer runs on a sample — here it sees every vector, which

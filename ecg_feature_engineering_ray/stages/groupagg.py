@@ -1,10 +1,14 @@
 """Distributed group-by aggregation with partial (combiner) pre-aggregation.
 
 The scale pattern (SURVEY.md §7.3): aggregate INSIDE ``map_batches`` first so
-only (groups × partial-columns) rows enter the shuffle, then a small
-``groupby(keys).map_groups`` finalizes.  At 100 TB the shuffle moves partial
-rows (≈ #groups × #blocks), not data rows — the difference between an
-all-to-all of the table and of a summary.
+only (groups × partial-columns) rows enter the shuffle, then the partial
+rows are hash-bucketed on the first key by ``partition.grouped_sorted_apply``
+(the exchange every per-entity stage shares) and merged by ONE call per
+bucket — every row of a group shares its first key, so a group never spans
+buckets.  At 100 TB the shuffle moves partial rows (≈ #groups × #blocks),
+not data rows — the difference between an all-to-all of the table and of a
+summary.  Output rows come bucket by bucket, sorted by ``keys`` within a
+bucket only: a caller that reads rows in order sorts them itself.
 
 Reference analog: all reference aggregations are single-process DataFrame
 appends (/root/reference/extract_HRV.py:38); the partial/final split is the
@@ -29,11 +33,16 @@ is NaN (DuckDB refuses it as out of range) and null below two values.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import ray
 from ray.data import Dataset
+
+from .partition import entity_segments, grouped_sorted_apply
 
 
 def _as_f64(x):
@@ -179,13 +188,18 @@ def grouped_agg(
     """Grouped aggregation: out_name → (source_col, fn).
 
     fn ∈ {count, sum, sum_cents, mean, min, max, std, count_distinct}.
-    ``count`` with source '*' counts rows.  ``round_to`` rounds float
-    outputs half away from zero, as SQL ROUND does (oracle-hash stability).
+    ``count`` with source '*' counts rows; empty ``specs`` gives the
+    distinct ``keys``.  A null key is one group, as in SQL.  ``round_to``
+    rounds float outputs half away from zero, as SQL ROUND does
+    (oracle-hash stability).  Row order is not defined.
     """
     partials = ds.map_batches(_partial_agg, fn_args=(keys, specs),
                               batch_format="pyarrow", zero_copy_batch=True)
-    return partials.groupby(keys).map_groups(_final_agg, fn_args=(keys, specs, round_to),
-                                             batch_format="pyarrow")
+    # 4 buckets per CPU: the top of partition.py's 2-4x range, so the merge
+    # tasks keep every CPU busy while each stays small
+    nb = max(1, int(4 * ray.cluster_resources().get("CPU", 1)))
+    return grouped_sorted_apply(partials, keys[0], keys[1:], functools.partial(
+        _final_agg, keys=keys, specs=specs, round_to=round_to), nb)
 
 
 def per_group_top_k(
@@ -213,8 +227,6 @@ def per_group_top_k(
     (/root/reference/xgboost_clf.py:244); this is that selection restated
     per-group as a distributed mergeable operator.
     """
-    from .partition import entity_segments, grouped_sorted_apply  # noqa: PLC0415
-
     def prune(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
         if n == 0:
@@ -259,8 +271,6 @@ def global_agg(ds: Dataset, specs: dict[str, tuple[str, str]]) -> pa.Table:
 
     out = grouped_agg(ds.map_batches(one_group, batch_format="pyarrow", zero_copy_batch=True),
                       ["__g"], specs)
-    import ray  # noqa: PLC0415
-
     parts = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
     if parts:
         return pa.concat_tables(parts).combine_chunks().drop_columns(["__g"])

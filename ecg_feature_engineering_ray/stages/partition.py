@@ -52,14 +52,24 @@ def bucket_ids(
     ``plan`` (from :func:`plan_buckets`) when it has one, else the stable
     hash — ``md5_u64(key) % num_buckets`` for strings, splitmix64 for ints.
 
+    Other key types hash their string form.  Null keys all go to bucket 0,
+    so a null key is one group, as in SQL.
+
     The one routing rule: the shuffle (:func:`with_bucket`) and late-data
     invalidation (state/backfill.py) both call it."""
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
+    if col.null_count:
+        valid = np.asarray(col.is_valid())
+        ids = np.zeros(len(col), dtype=np.int32)
+        ids[valid] = bucket_ids(col.filter(col.is_valid()), num_buckets, plan)
+        return ids
     if pa.types.is_integer(col.type):
         ids = bucket_of_ints(np.asarray(col).astype(np.int64), num_buckets)
-    else:
+    elif pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
         ids = bucket_of_strings(col, num_buckets)
+    else:
+        ids = bucket_of_strings(col.cast(pa.string()), num_buckets)
     if plan:
         # vectorized override: dictionary-encode → LUT over the UNIQUE keys
         # only (the skewed-run hot path; no per-row Python)

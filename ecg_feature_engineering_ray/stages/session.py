@@ -17,26 +17,6 @@ from .partition import entity_segments
 DEFAULT_GAP_US = 30_000_000  # 30 s
 
 
-def add_session_ids(tbl: pa.Table, key: str, ts_col: str = "ts", gap_us: int = DEFAULT_GAP_US) -> pa.Table:
-    """Append ``session_id`` (0-based per entity) to a (entity, ts)-sorted table."""
-    n = tbl.num_rows
-    if n == 0:
-        return tbl.append_column("session_id", pa.array([], pa.int64()))
-    ts = np.asarray(tbl.column(ts_col).cast(pa.int64()).combine_chunks())
-    starts, _ = entity_segments(tbl, key)
-    new_entity = np.zeros(n, dtype=bool)
-    new_entity[starts] = True
-    gap_break = np.zeros(n, dtype=bool)
-    gap_break[1:] = (ts[1:] - ts[:-1]) > gap_us
-    brk = new_entity | gap_break
-    global_sid = np.cumsum(brk) - 1
-    # per-entity session index = global session id − global id at entity start
-    first_sid = np.zeros(n, dtype=np.int64)
-    first_sid[starts] = global_sid[starts]
-    np.maximum.accumulate(first_sid, out=first_sid)
-    return tbl.append_column("session_id", pa.array(global_sid - first_sid, pa.int64()))
-
-
 def session_segments(tbl: pa.Table, key: str, ts_col: str = "ts", gap_us: int = DEFAULT_GAP_US):
     """(starts, ends) row ranges of each (entity, session) run."""
     n = tbl.num_rows

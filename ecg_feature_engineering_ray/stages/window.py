@@ -60,26 +60,6 @@ def _row_entity_end(tbl: pa.Table, key: str) -> np.ndarray:
     return row_end
 
 
-def add_lag_lead(
-    tbl: pa.Table,
-    key: str,
-    cols: dict[str, tuple[str, int]],
-) -> pa.Table:
-    """Append lag/lead columns. ``cols`` maps new_name → (source_col, k)
-    with k>0 ⇒ lag k, k<0 ⇒ lead |k|.  Numeric/timestamp sources only."""
-    row_start = _row_entity_start(tbl, key)
-    row_end = _row_entity_end(tbl, key)
-    for new_name, (src, k) in cols.items():
-        col = tbl.column(src)
-        vals = np.asarray(col.cast(pa.int64() if pa.types.is_timestamp(col.type) else pa.float64()).combine_chunks()).astype(np.float64)
-        if k >= 0:
-            shifted = lag_column(vals, row_start, k)
-        else:
-            shifted = lead_column(vals, row_start, row_end, -k)
-        tbl = tbl.append_column(new_name, pa.array(shifted, pa.float64()))
-    return tbl
-
-
 def rolling_mean(values: np.ndarray, row_start: np.ndarray, k: int) -> np.ndarray:
     """Trailing k-row mean within entity; partial windows use available rows
     (SQL: AVG OVER (PARTITION BY e ORDER BY ts ROWS k-1 PRECEDING))."""

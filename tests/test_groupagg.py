@@ -1,7 +1,7 @@
-"""``grouped_agg`` answers as DuckDB does on NaN, null and all-NaN groups,
-whether the rows arrive in one block or in two, and its merge step returns
-the declared schema on zero rows; ``global_agg`` answers as DuckDB does,
-zero rows included."""
+"""``grouped_agg`` answers as DuckDB does on NaN, null and all-NaN groups
+and on the null-key group, whether the rows arrive in one block, two or
+three, and its merge step returns the declared schema on zero rows;
+``global_agg`` answers as DuckDB does, zero rows included."""
 
 import math
 
@@ -24,10 +24,11 @@ SQL = {
     "count_distinct": "count(DISTINCT x)",
 }
 SPECS = {fn: ("x", fn) for fn in SQL} | {"rows": ("*", "count")}
-# a: mixed NaN, b: all NaN, c: all null, e: NaN and null, d: plain numbers.
-# Every group has a row in each of the two blocks.
-BLOCK_1 = [("a", NAN), ("b", NAN), ("c", None), ("d", 1.0), ("e", NAN)]
-BLOCK_2 = [("a", 3.0), ("b", NAN), ("c", None), ("d", 3.0), ("d", None), ("e", None)]
+# a: mixed NaN, b: all NaN, c: all null, e: NaN and null, d: plain numbers,
+# None: a null key (one group, as in SQL).  Every group has a row in each of
+# the two blocks; split three ways, the last two blocks hold some groups each.
+BLOCK_1 = [("a", NAN), ("b", NAN), ("c", None), ("d", 1.0), ("e", NAN), (None, 2.0)]
+BLOCK_2 = [("a", 3.0), ("b", NAN), ("c", None), ("d", 3.0), ("d", None), ("e", None), (None, 5.0)]
 
 
 def _table(rows):
@@ -47,8 +48,9 @@ def _duckdb(fn: str, group: str, round_to):
     con = duckdb.connect()
     con.register("t", _table(BLOCK_1 + BLOCK_2))
     expr = SQL[fn] if round_to is None else f"ROUND({SQL[fn]}, {round_to})"
+    where = "g IS NULL" if group is None else f"g = '{group}'"
     try:
-        return con.sql(f"SELECT {expr} FROM t WHERE g = '{group}'").fetchone()[0]
+        return con.sql(f"SELECT {expr} FROM t WHERE {where}").fetchone()[0]
     except duckdb.OutOfRangeException:
         # DuckDB refuses stddev_samp over a NaN; IEEE arithmetic gives NaN
         assert fn == "std"
@@ -56,11 +58,12 @@ def _duckdb(fn: str, group: str, round_to):
 
 
 @pytest.mark.parametrize("round_to", [None, 6])
-@pytest.mark.parametrize("blocks", [[BLOCK_1 + BLOCK_2], [BLOCK_1, BLOCK_2]], ids=["one_block", "two_blocks"])
+@pytest.mark.parametrize("blocks", [[BLOCK_1 + BLOCK_2], [BLOCK_1, BLOCK_2], [BLOCK_1, BLOCK_2[:3], BLOCK_2[3:]]],
+                         ids=["one_block", "two_blocks", "three_blocks"])
 def test_grouped_agg_matches_duckdb_on_nan_and_null_groups(blocks, round_to):
     ds = ray.data.from_arrow([_table(b) for b in blocks])
     got = {r["g"]: r for r in grouped_agg(ds, ["g"], SPECS, round_to=round_to).take_all()}
-    assert sorted(got) == ["a", "b", "c", "d", "e"]
+    assert set(got) == {"a", "b", "c", "d", "e", None}
     bad = []
     for g, row in got.items():
         assert row["rows"] == sum(1 for b in blocks for k, _ in b if k == g)

@@ -1,5 +1,7 @@
-"""``md5_keys`` equals the per-row ``hashlib`` key formula it replaces."""
+"""``md5_keys`` equals the per-row ``hashlib`` key formula it replaces;
+``bucket_ids`` routes null keys to one bucket."""
 
+import datetime
 import hashlib
 
 import numpy as np
@@ -10,6 +12,7 @@ from ecg_feature_engineering_ray.functions.hashing import md5_keys
 
 INT_KEYS = [0, 7, 7, 123456789, -5, 42, 0]
 STR_KEYS = ["doc-1", "", "ünï", "doc-1", "a|b|c"]
+DATE_KEYS = [datetime.date(2024, 1, d) for d in (3, 1, 3, 9)]
 
 
 def _per_row(keys, prefix, n_hex):
@@ -32,3 +35,23 @@ def test_md5_keys_zero_keys():
     for arg in ([], pa.array([], pa.int64()), pa.chunked_array([], pa.string())):
         got = md5_keys(arg, "split|", 2)
         assert got.dtype == np.uint64 and got.size == 0
+
+
+@pytest.mark.parametrize("keys", [INT_KEYS, STR_KEYS, DATE_KEYS], ids=["int", "str", "date"])
+def test_bucket_ids_route_null_keys_to_one_bucket(keys):
+    """Null keys share bucket 0; every other key keeps the bucket (hash or
+    plan) it has in a column without nulls.  A key type that is neither
+    integer nor string (date here) hashes its string form."""
+    import warnings
+
+    from ecg_feature_engineering_ray.stages.partition import bucket_ids
+
+    with_nulls = pa.array([None] + keys[:3] + [None] + keys[3:])
+    plan = {keys[1]: 5}
+    for p in (None, plan):
+        want = bucket_ids(pa.array(keys), 8, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bucket_ids(pa.chunked_array([with_nulls[:2], with_nulls[2:]]), 8, p)
+        assert got.tolist() == [0] + want[:3].tolist() + [0] + want[3:].tolist()
+    assert bucket_ids(pa.array([None, None], pa.string()), 8).tolist() == [0, 0]

@@ -5,13 +5,14 @@ import pandas as pd
 import pyarrow as pa
 
 from ecg_feature_engineering_ray.stages.partition import entity_segments
-from ecg_feature_engineering_ray.stages.session import add_session_ids, session_segments
+from ecg_feature_engineering_ray.stages.session import session_segments
 from ecg_feature_engineering_ray.stages.window import (
+    _row_entity_end,
     _row_entity_start,
-    add_lag_lead,
     count_based_windows,
     fixed_windows,
     lag_column,
+    lead_column,
     rolling_mean,
 )
 
@@ -44,14 +45,14 @@ def test_lag_respects_entity_boundary():
     assert lag1[1] == 1.0 and lag1[6] == 10.0
 
 
-def test_add_lag_lead_matches_pandas():
+def test_lag_lead_columns_match_pandas():
     t = _toy()
-    out = add_lag_lead(t, "e", {"v_lag1": ("v", 1), "v_lead1": ("v", -1), "ts_lag1": ("ts", 1)})
+    v = np.asarray(t.column("v").combine_chunks())
+    got_lag = lag_column(v, _row_entity_start(t, "e"), 1)
+    got_lead = lead_column(v, _row_entity_start(t, "e"), _row_entity_end(t, "e"), 1)
     df = t.to_pandas()
     want_lag = df.groupby("e")["v"].shift(1).values
     want_lead = df.groupby("e")["v"].shift(-1).values
-    got_lag = np.asarray(out.column("v_lag1").combine_chunks())
-    got_lead = np.asarray(out.column("v_lead1").combine_chunks())
     assert np.allclose(got_lag, want_lag, equal_nan=True)
     assert np.allclose(got_lead, want_lead, equal_nan=True)
 
@@ -76,9 +77,6 @@ def test_sessionize_gap():
     t = pa.Table.from_pandas(df, preserve_index=False).set_column(
         1, "ts", pa.Table.from_pandas(df, preserve_index=False).column("ts").cast(pa.timestamp("us"))
     )
-    out = add_session_ids(t, "e", gap_us=30_000_000)
-    sids = out.column("session_id").to_pylist()
-    assert sids == [0, 0, 1, 1, 0, 0]
     starts, ends = session_segments(t, "e", gap_us=30_000_000)
     assert starts.tolist() == [0, 2, 4]
     assert ends.tolist() == [2, 4, 6]
