@@ -28,6 +28,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
@@ -226,77 +227,6 @@ def calib_parallel(single_rate: float, workers: int = 8, target_s: float = 2.0) 
         return {"workers": workers, "error": f"{type(e).__name__}: {e}"[:120]}
 
 
-class _BucketTimer:
-    """Instrument for the flagship merge stage: wraps the per-bucket fn and
-    appends one JSON file per bucket (input/output rows, wall seconds) under
-    a run-scoped directory.  Observability only — result tables unchanged."""
-
-    def __init__(self, out_dir: str):
-        self.out_dir = out_dir
-
-    def __call__(self, fn):
-        out_dir = self.out_dir
-
-        def wrapped(tbl):
-            import json as _json  # noqa: PLC0415
-            import os as _os  # noqa: PLC0415
-            import time as _time  # noqa: PLC0415
-            import uuid as _uuid  # noqa: PLC0415
-
-            t0 = _time.time()
-            res = fn(tbl)
-            t1 = _time.time()
-            with open(_os.path.join(out_dir, f"b_{_uuid.uuid4().hex}.json"), "w") as f:
-                _json.dump({"rows_in": tbl.num_rows, "rows_out": res.num_rows,
-                            "wall_s": round(t1 - t0, 4),
-                            "t0": round(t0, 3), "t1": round(t1, 3)}, f)
-            return res
-
-        return wrapped
-
-
-def _stage_stats(stage_dir: str, decode_wall_s: float, merge_wall_s: float, cpus: int) -> dict:
-    """Aggregate the _BucketTimer files into the bench JSON's stages block."""
-    import numpy as np
-
-    walls, rows_in = [], 0
-    t0s, t1s = [], []
-    for f in os.listdir(stage_dir):
-        with open(os.path.join(stage_dir, f)) as fh:
-            rec = json.load(fh)
-        walls.append(rec["wall_s"])
-        rows_in += rec["rows_in"]
-        if "t0" in rec:
-            t0s.append(rec["t0"])
-            t1s.append(rec["t1"])
-    w = np.array(sorted(walls)) if walls else np.array([0.0])
-    # merge_span = first merge start → last merge end; the difference to the
-    # stage wall is the exchange/sort prefix the pool spends waiting (the
-    # fixed cost the scaling arms amortize)
-    span = round(max(t1s) - min(t0s), 3) if t0s else None
-    return {
-        "decode_wall_s": round(decode_wall_s, 3),   # staged decode (read→decode tasks + materialize)
-        "shuffle_merge_wall_s": round(merge_wall_s, 3),  # bucket exchange + sorted merge
-        "merge_buckets": {
-            "n": len(walls),
-            "rows_in": rows_in,
-            "sum_s": round(float(w.sum()), 3),
-            "mean_s": round(float(w.mean()), 4),
-            "p50_s": round(float(np.percentile(w, 50)), 4),
-            "p95_s": round(float(np.percentile(w, 95)), 4),
-            "max_s": round(float(w.max()), 4),
-        },
-        # busy merge CPU over the merge stage's wall-clock × pool size
-        "merge_utilization": round(float(w.sum()) / (merge_wall_s * cpus), 3)
-        if merge_wall_s > 0 else None,
-        "merge_span_s": span,
-        "pre_merge_exchange_s": round(merge_wall_s - span, 3) if span is not None else None,
-        # pool busy fraction WITHIN the merge span (tail/wave losses only)
-        "merge_span_utilization": round(float(w.sum()) / (span * cpus), 3)
-        if span else None,
-    }
-
-
 def run_suite() -> dict:
     import ray
 
@@ -305,6 +235,7 @@ def run_suite() -> dict:
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
     from ecg_feature_engineering_ray.pipelines.flagship import compute_bucket_plan, pit_features
     from ecg_feature_engineering_ray.pipelines.queries import QUERIES
+    from perfbench.workloads import merge_figures, read_bucket_times, timed_buckets
 
     events_dir, queries_path = fixture_dirs(prof)
 
@@ -364,30 +295,33 @@ def run_suite() -> dict:
         w.map_batches(_warm_imports, batch_format="pyarrow").count()
         del w
 
-    # per-stage observability: _BucketTimer drops one JSON per merge bucket
-    # (single-node: workers share /tmp; on a cluster this would target shared
-    # storage), stage_times records the decode wall at the materialize()
-    # barrier.  Overhead is one ~100-byte file write per bucket — noise.
-    stage_dir = f"/tmp/efr_bench_stages_{os.getpid()}"
-    os.makedirs(stage_dir, exist_ok=True)
-    for stale in os.listdir(stage_dir):  # recycled pid → clear prior run's files
-        os.unlink(os.path.join(stage_dir, stale))
+    # per-stage observability: perfbench's timed_buckets drops one small file
+    # per merge bucket into a run-scoped temporary directory (single node:
+    # workers share the local disk), stage_times records the decode wall at
+    # the materialize() barrier.  Overhead is one file write per bucket.
     stage_times: dict = {}
-    t0 = time.time()
-    out = pit_features(
-        events_dir,
-        queries_path,
-        num_buckets=num_buckets,
-        sampen_max_n=prof["sampen_max_n"],
-        bucket_plan=plan,
-        instrument=_BucketTimer(stage_dir),
-        stage_times=stage_times,
-    )
-    n_rows = out.count()
-    flagship_s = time.time() - t0
+    with tempfile.TemporaryDirectory(prefix="efr_bench_stages_") as stage_dir:
+        t0 = time.time()
+        out = pit_features(
+            events_dir,
+            queries_path,
+            num_buckets=num_buckets,
+            sampen_max_n=prof["sampen_max_n"],
+            bucket_plan=plan,
+            instrument=timed_buckets(stage_dir),
+            stage_times=stage_times,
+        )
+        n_rows = out.count()
+        flagship_s = time.time() - t0
+        bucket_times = read_bucket_times(stage_dir)
     rows_per_s = n_rows / flagship_s
     decode_wall = stage_times.get("decode_wall_s", 0.0)
-    stages = _stage_stats(stage_dir, decode_wall, flagship_s - decode_wall, NUM_CPUS)
+    stages = {
+        "decode_wall_s": round(decode_wall, 3),  # read→decode tasks + materialize
+        "shuffle_merge_wall_s": round(flagship_s - decode_wall, 3),  # exchange + sorted merge
+        "merge_buckets": len(bucket_times),
+        **{k: round(v, 4) for k, v in merge_figures(bucket_times).items()},
+    }
 
     times: dict[str, dict[str, float]] = {block: {} for block in SUITES}
     if prof["run_suite"]:

@@ -1191,98 +1191,60 @@ def knn_topk(sf_dir: str, k: int = 5):
     return _topk_rank_merge(partials, k)
 
 
-def _bucketed_candidate_pairs(
-    emitted,
-    key: str,
-    max_bucket: int,
-    advice: str,
-    size_ratio: tuple[int, int] | None = None,
-    positional: bool = False,
-):
-    """Vectorized candidate-pair expansion for blocking-key near-dup scans.
+def _popcount64(x: np.ndarray) -> np.ndarray:
+    """Vectorized 64-bit popcount (SWAR) — numpy<2 has no bitwise_count."""
+    x = x.astype(np.uint64, copy=True)
+    x -= (x >> np.uint64(1)) & np.uint64(0x5555555555555555)
+    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
 
-    ``emitted`` is a (doc_id, key) stream — one row per (doc, blocking key).
-    A corpus emits millions of MOSTLY-SINGLETON blocking keys (prefix grams,
-    LSH bands), so ``groupby(key).map_groups`` pays a per-key pandas-group
-    dispatch that dwarfs the pairing arithmetic.  Instead: ONE hash-bucket
-    shuffle on ``key`` (the ``grouped_sorted_apply`` spine, NB buckets), then
-    per bucket the segment boundaries come from :func:`entity_segments`
-    (dictionary-encode diff — no per-row Python) and each multi-doc segment
-    expands via ``np.triu_indices``.  Keys above ``max_bucket`` docs fail
-    loudly (same contract as before: a degenerate blocking key means the
-    blocking config is wrong for the corpus, not that O(n²) pairing should
-    quietly proceed).
 
-    ``size_ratio=(tau_num, tau_den)`` enables the AllPairs/PPJoin LENGTH
-    filter: ``emitted`` must then carry an ``n`` column (the doc's gram-set
-    size) and pairs with ``tau_den·min(n_a,n_b) < tau_num·max(n_a,n_b)`` are
-    pruned map-side — candidate-complete because J(A,B) ≥ τ forces
-    |A∩B| ≤ min ≤ max ≤ |A∪B| and hence min/max ≥ J ≥ τ (integer arithmetic,
-    same no-float-ceil discipline as the prefix length).
+def _band_pairs(emitted, key: str, id_col: str, pair_fn, max_bucket: int, advice: str):
+    """Candidate pairs of a blocking-key near-dup scan — the one banded
+    pairing mechanism behind every near-dup query.
 
-    ``positional=True`` (requires ``size_ratio`` and an ``i`` column = the
-    gram's 0-based position in the doc's canonically-sorted gram list)
-    additionally emits a per-co-occurrence ``slack`` column implementing the
-    PPJoin POSITIONAL filter: for a gram at positions (i_a, i_b), shared
-    grams strictly before it number ≤ min(i_a, i_b) (the order is global,
-    so an earlier shared gram is earlier on BOTH sides) and shared grams
-    from it on number ≤ min(n_a−i_a, n_b−i_b), hence
-    overlap ≤ bound(i_a,i_b) = min(i_a,i_b) + min(n_a−i_a, n_b−i_b).
-    J ≥ τ needs overlap ≥ α = ⌈τ/(1+τ)·(n_a+n_b)⌉ (integer form below), so
-    ``slack = bound − α < 0`` at ANY co-occurrence proves the pair dead —
-    the caller aggregates ``min(slack)`` per pair (``grouped_agg``, the
-    same exchange the dedup already pays) and drops negatives before
-    the expensive text-routing verify.  Exact-sound: no false negatives."""
+    ``emitted`` holds one row per (item, blocking key): an LSH band, a
+    prefix gram, a sign-bit table.  A corpus emits millions of MOSTLY-
+    SINGLETON keys, so a per-key group dispatch would dwarf the pairing
+    arithmetic.  Instead: ONE hash-bucket exchange on ``key`` (the
+    ``grouped_sorted_apply`` spine, NB buckets, rows sorted by
+    ``[key, id_col]``); per bucket the key segments come from
+    :func:`entity_segments` (no per-row Python) and each segment of two or
+    more rows expands to its upper-triangle index pairs, so in every pair
+    a's ``id_col`` sorts before b's.  A key above ``max_bucket`` rows fails
+    loudly: a degenerate blocking key means the blocking config is wrong
+    for the corpus, not that O(n²) pairing should quietly proceed.
+
+    ``pair_fn(tbl, ia, ib)`` runs once per bucket on the sorted bucket
+    table and the int64 row indices of its candidate pairs (possibly none)
+    and returns the query's pair table — its own predicate or score."""
 
     def per_bucket(tbl: pa.Table) -> pa.Table:
         starts, ends = entity_segments(tbl, key)
         sizes = ends - starts
         if sizes.size and int(sizes.max()) > max_bucket:
             raise ValueError(
-                f"candidate bucket of {int(sizes.max())} docs > max_bucket="
+                f"candidate bucket of {int(sizes.max())} rows > max_bucket="
                 f"{max_bucket}: {advice}"
             )
-        ids = np.asarray(tbl.column("doc_id").combine_chunks())
-        ns = (
-            np.asarray(tbl.column("n").combine_chunks())
-            if size_ratio is not None
-            else None
-        )
-        pos = (
-            np.asarray(tbl.column("i").combine_chunks())
-            if positional
-            else None
-        )
-        keep = sizes >= 2
-        out_a, out_b, out_slack = [], [], []
-        for s, e in zip(starts[keep], ends[keep]):
-            order = np.argsort(ids[s:e], kind="stable")
-            d = ids[s:e][order]
-            ia, ib = np.triu_indices(int(e - s), k=1)
-            if ns is not None:
-                na, nb = ns[s:e][order][ia], ns[s:e][order][ib]
-                tn, td = size_ratio
-                m = td * np.minimum(na, nb) >= tn * np.maximum(na, nb)
-                ia, ib = ia[m], ib[m]
-                if pos is not None:
-                    na, nb = na[m], nb[m]
-                    pg = pos[s:e][order]
-                    pia, pib = pg[ia], pg[ib]
-                    bound = np.minimum(pia, pib) + np.minimum(na - pia, nb - pib)
-                    alpha = (tn * (na + nb) + tn + td - 1) // (tn + td)
-                    out_slack.append(bound - alpha)
-            out_a.append(d[ia])
-            out_b.append(d[ib])
-        a = np.concatenate(out_a) if out_a else np.empty(0, np.int64)
-        b = np.concatenate(out_b) if out_b else np.empty(0, np.int64)
-        cols = {"doc_a": pa.array(a.astype(np.int64, copy=False)),
-                "doc_b": pa.array(b.astype(np.int64, copy=False))}
-        if positional:
-            sl = np.concatenate(out_slack) if out_slack else np.empty(0, np.int64)
-            cols["slack"] = pa.array(sl.astype(np.int64, copy=False))
-        return pa.table(cols)
+        multi = sizes >= 2
+        ia, ib = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        for s, m in zip(starts[multi], sizes[multi]):
+            iu, ju = np.triu_indices(int(m), k=1)
+            ia.append(iu + s)
+            ib.append(ju + s)
+        return pair_fn(tbl, np.concatenate(ia), np.concatenate(ib))
 
-    return grouped_sorted_apply(emitted, key, [], per_bucket, NB)
+    return grouped_sorted_apply(emitted, key, [id_col], per_bucket, NB)
+
+
+def _id_pairs(tbl: pa.Table, id_col: str, ia: np.ndarray, ib: np.ndarray,
+              names: tuple[str, str] = ("doc_a", "doc_b")) -> dict:
+    """The int64 id columns of the pairs (ia, ib) of a ``_band_pairs``
+    bucket."""
+    ids = np.asarray(tbl.column(id_col).combine_chunks()).astype(np.int64, copy=False)
+    return {names[0]: pa.array(ids[ia]), names[1]: pa.array(ids[ib])}
 
 
 def _distributed_jaccard_verify(
@@ -1586,9 +1548,9 @@ def near_dup_pairs(sf_dir: str, num_perm: int = 16, bands: int = 4, max_bucket: 
         )
 
     banded = ds.map_batches(sig, batch_format="pyarrow", zero_copy_batch=True)
-    pairs = _bucketed_candidate_pairs(
-        banded, "band", max_bucket,
-        "band signature too short for corpus — raise num_perm/bands",
+    pairs = _band_pairs(
+        banded, "band", "doc_id", lambda tbl, ia, ib: pa.table(_id_pairs(tbl, "doc_id", ia, ib)),
+        max_bucket, "band signature too short for corpus — raise num_perm/bands",
     )
     # pair IDS only (16 B/row) as DISTRIBUTED blocks — the driver never holds
     # the pair list (a dup-heavy 100-TB crawl yields O(10⁸) candidate pairs).
@@ -1734,19 +1696,49 @@ def ngram_jaccard_pairs(sf_dir: str, tau_num: int = 3, tau_den: int = 5, max_buc
             }
         )
 
+    def ppjoin_pairs(tbl: pa.Table, ia: np.ndarray, ib: np.ndarray) -> pa.Table:
+        """The AllPairs LENGTH filter and the PPJoin POSITIONAL bound over
+        the co-occurrences (ia, ib) of a prefix gram.
+
+        Length: J(A,B) ≥ τ forces |A∩B| ≤ min ≤ max ≤ |A∪B| and hence
+        min/max ≥ J ≥ τ, so pairs with ``tau_den·min(n_a,n_b) <
+        tau_num·max(n_a,n_b)`` are pruned map-side — candidate-complete
+        (integer arithmetic, same no-float-ceil discipline as the prefix
+        length).
+
+        Position: ``i`` is the gram's 0-based position in the doc's
+        canonically-sorted gram list.  For a gram at positions (i_a, i_b),
+        shared grams strictly before it number ≤ min(i_a, i_b) (the order
+        is global, so an earlier shared gram is earlier on BOTH sides) and
+        shared grams from it on number ≤ min(n_a−i_a, n_b−i_b), hence
+        overlap ≤ bound(i_a,i_b) = min(i_a,i_b) + min(n_a−i_a, n_b−i_b).
+        J ≥ τ needs overlap ≥ α = ⌈τ/(1+τ)·(n_a+n_b)⌉ (integer form below),
+        so ``slack = bound − α < 0`` at ANY co-occurrence proves the pair
+        dead — the caller aggregates ``min(slack)`` per pair and drops
+        negatives before the expensive text-routing verify.  Exact-sound:
+        no false negatives."""
+        ns = np.asarray(tbl.column("n").combine_chunks())
+        pos = np.asarray(tbl.column("i").combine_chunks())
+        na, nb = ns[ia], ns[ib]
+        m = tau_den * np.minimum(na, nb) >= tau_num * np.maximum(na, nb)
+        ia, ib, na, nb = ia[m], ib[m], na[m], nb[m]
+        pia, pib = pos[ia], pos[ib]
+        bound = np.minimum(pia, pib) + np.minimum(na - pia, nb - pib)
+        alpha = (tau_num * (na + nb) + tau_num + tau_den - 1) // (tau_num + tau_den)
+        return pa.table({**_id_pairs(tbl, "doc_id", ia, ib),
+                         "slack": pa.array((bound - alpha).astype(np.int64, copy=False))})
+
     prefixes = ds.map_batches(prefix_emit, batch_format="pyarrow", zero_copy_batch=True)
-    pairs = _bucketed_candidate_pairs(
-        prefixes, "gram", max_bucket,
+    pairs = _band_pairs(
+        prefixes, "gram", "doc_id", ppjoin_pairs, max_bucket,
         "trigram blocking degenerate for this corpus — use a larger gram "
         "unit or frequency-ordered prefixes",
-        size_ratio=(tau_num, tau_den),
-        positional=True,
     )
     # pair dedup doubles as the POSITIONAL-filter reduce: min(slack) over a
-    # pair's co-occurrences < 0 proves overlap < α (see
-    # _bucketed_candidate_pairs), so the pair dies here — before its texts
-    # are routed and re-shingled in the verify exchange.  The min rides the
-    # grouped_agg exchange the plain dedup pays anyway, so the filter is ~free.
+    # pair's co-occurrences < 0 proves overlap < α (see ppjoin_pairs), so
+    # the pair dies here — before its texts are routed and re-shingled in
+    # the verify exchange.  The min rides the grouped_agg exchange the
+    # plain dedup pays anyway, so the filter is ~free.
     # Its kill rate is corpus-dependent: strong when candidate sizes are
     # diverse (the classical PPJoin setting), weak on the synthetic bench
     # corpus where near-equal gram-set sizes keep every positional bound
@@ -2327,11 +2319,13 @@ def embedding_near_dups(sf_dir: str, threshold: float = NEAR_DUP_COS,
     Two independent hash tables: table 1 keys on the sign bits of dims 0-7,
     table 2 on dims 8-15 (deterministic, so the DuckDB oracle reproduces the
     exact candidate set).  A pair is a candidate if it collides in EITHER
-    table; candidates are cosine-verified inside their bucket and pairs found
-    by both tables are deduped by a final (vec_a, vec_b) group.  At scale:
-    more bits per table ⇒ smaller buckets; the in-bucket N² verify is bounded
-    by ``max_bucket`` (oversized buckets mean the signature is too short for
-    the corpus — widen n_bits rather than truncate silently)."""
+    table.  Both tables share ONE ``_band_pairs`` exchange over an injective
+    (table, sign bits) key; each candidate pair's cosine is computed and
+    thresholded inside its bucket, and pairs found by both tables are
+    deduped by a final (vec_a, vec_b) group.  At scale: more bits per table
+    ⇒ smaller buckets; the in-bucket N² verify is bounded by ``max_bucket``
+    (oversized buckets mean the signature is too short for the corpus —
+    widen n_bits rather than truncate silently)."""
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     def sig(batch: pa.Table) -> pa.Table:
@@ -2339,55 +2333,28 @@ def embedding_near_dups(sf_dir: str, threshold: float = NEAR_DUP_COS,
         w = (1 << np.arange(n_bits)).astype(np.int64)
         b1 = ((V[:, :n_bits] > 0) * w).sum(axis=1)
         b2 = ((V[:, n_bits : 2 * n_bits] > 0) * w).sum(axis=1)
-        return pa.table({"vec_id": batch.column("vec_id"),
-                         "b1": pa.array(b1), "b2": pa.array(b2),
-                         "embedding": batch.column("embedding")})
+        # injective (table, sign bits) → one int64 blocking key, so both
+        # tables ride one exchange: one row per (vector, table)
+        rows = batch.select(["vec_id", "embedding"])
+        return pa.concat_tables([rows, rows]).append_column(
+            "bkey", pa.array(np.concatenate([b1, b2 | (1 << n_bits)]).astype(np.int64)))
 
     banded = ds.map_batches(sig, batch_format="pyarrow", zero_copy_batch=True)
 
-    # in-bucket N² verify on the bucket spine: one shuffle per hash table,
-    # segments instead of per-key pandas groups (the scale path RAISES
-    # n_bits, i.e. the key count — group dispatch must not grow with it)
-    def verify_table(key: str):
-        def per_bucket(tbl: pa.Table) -> pa.Table:
-            empty = pa.table({"vec_a": pa.array([], pa.int64()),
-                              "vec_b": pa.array([], pa.int64()),
-                              "cosine": pa.array([], pa.float64())})
-            if tbl.num_rows == 0:
-                return empty
-            starts, ends = entity_segments(tbl, key)
-            sizes = ends - starts
-            if int(sizes.max()) > max_bucket:
-                raise ValueError(
-                    f"near-dup LSH bucket of {int(sizes.max())} > max_bucket={max_bucket}: "
-                    "signature too short for corpus size — raise n_bits"
-                )
-            ids = np.asarray(tbl.column("vec_id").combine_chunks())
-            V = _emb_matrix(tbl.column("embedding"))
-            Vn = V / np.linalg.norm(V, axis=1, keepdims=True)
-            keep = sizes >= 2
-            out_a, out_b, out_c = [], [], []
-            for s, e in zip(starts[keep], ends[keep]):
-                W = Vn[s:e]  # rows already sorted by vec_id within segment
-                sims = W @ W.T
-                ia, ib = np.triu_indices(int(e - s), k=1)
-                m = sims[ia, ib] >= threshold
-                out_a.append(ids[s:e][ia[m]].astype(np.int64))
-                out_b.append(ids[s:e][ib[m]].astype(np.int64))
-                out_c.append(sims[ia, ib][m])
-            a = np.concatenate(out_a) if out_a else np.empty(0, np.int64)
-            b = np.concatenate(out_b) if out_b else np.empty(0, np.int64)
-            c = np.concatenate(out_c) if out_c else np.empty(0, np.float64)
-            return pa.table({"vec_a": pa.array(a), "vec_b": pa.array(b),
-                             "cosine": pa.array(rnd(c))})
+    def cosine_pairs(tbl: pa.Table, ia: np.ndarray, ib: np.ndarray) -> pa.Table:
+        V = _emb_matrix(tbl.column("embedding"))
+        Vn = V / np.linalg.norm(V, axis=1, keepdims=True)
+        cos = np.einsum("ij,ij->i", Vn[ia], Vn[ib])
+        m = cos >= threshold
+        return pa.table({**_id_pairs(tbl, "vec_id", ia[m], ib[m], ("vec_a", "vec_b")),
+                         "cosine": pa.array(rnd(cos[m]))})
 
-        return per_bucket
-
-    p1 = grouped_sorted_apply(banded, "b1", ["vec_id"], verify_table("b1"), NB)
-    p2 = grouped_sorted_apply(banded, "b2", ["vec_id"], verify_table("b2"), NB)
-
+    pairs = _band_pairs(
+        banded, "bkey", "vec_id", cosine_pairs, max_bucket,
+        "signature too short for corpus size — raise n_bits",
+    )
     # cross-table dedup: cosine is a pure function of the pair, min() = the value
-    return grouped_agg(p1.union(p2), ["vec_a", "vec_b"], {"cosine": ("cosine", "min")})
+    return grouped_agg(pairs, ["vec_a", "vec_b"], {"cosine": ("cosine", "min")})
 
 
 _DENOISE_EXPECTED = "/tmp/efr_expected_denoised.parquet"
@@ -3188,13 +3155,13 @@ bands AS (
 def simhash_near_dups(sf_dir: str, max_hamming: int = 3, max_bucket: int = 4096):
     """SimHash near-duplicate pairs: 4×16-bit band index (a pair within
     hamming ≤ 3 of 64 bits must collide in ≥1 band by pigeonhole), exact
-    hamming verify inside each band bucket, cross-band dedup.  The banded
-    shuffle carries only (doc_id, band key, simhash) — never the text.
-    A bucket above ``max_bucket`` docs fails loudly (same contract as
-    near_dup_pairs): a degenerate 16-bit band key — boilerplate or empty
-    docs sharing a simhash — would make the in-bucket verify O(n²); that
-    means the banding is wrong for the corpus, not that the work should
-    quietly proceed."""
+    hamming verify (SWAR popcount) inside each ``_band_pairs`` bucket,
+    cross-band dedup.  The banded shuffle carries only (doc_id, band key,
+    simhash) — never the text.  A bucket above ``max_bucket`` docs fails
+    loudly (same contract as near_dup_pairs): a degenerate 16-bit band key
+    — boilerplate or empty docs sharing a simhash — would make the
+    in-bucket verify O(n²); that means the banding is wrong for the corpus,
+    not that the work should quietly proceed."""
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     def sig(batch: pa.Table) -> pa.Table:
@@ -3213,38 +3180,16 @@ def simhash_near_dups(sf_dir: str, max_hamming: int = 3, max_bucket: int = 4096)
 
     banded = ds.map_batches(sig, batch_format="pyarrow", zero_copy_batch=True)
 
-    def per_bucket(tbl: pa.Table) -> pa.Table:
-        # tbl sorted by bkey (then doc_id): vectorized per-segment hamming
-        starts, ends = entity_segments(tbl, "bkey")
-        sizes = ends - starts
-        if sizes.size and int(sizes.max()) > max_bucket:
-            raise ValueError(
-                f"simhash band bucket of {int(sizes.max())} docs > max_bucket={max_bucket}: "
-                "degenerate band key (boilerplate/empty docs?) — re-band or pre-filter"
-            )
-        ids = np.asarray(tbl.column("doc_id").combine_chunks())
-        sh = np.asarray(tbl.column("simhash").combine_chunks()).astype(np.uint64)
-        keep = sizes >= 2
-        out_a, out_b, out_h = [], [], []
-        for s, e in zip(starts[keep], ends[keep]):
-            order = np.argsort(ids[s:e], kind="stable") + s
-            ia, ib = np.triu_indices(int(e - s), k=1)
-            x = sh[order[ia]] ^ sh[order[ib]]
-            ham = np.zeros(x.size, dtype=np.int64)
-            for _ in range(64):
-                ham += (x & np.uint64(1)).astype(np.int64)
-                x >>= np.uint64(1)
-            m = ham <= max_hamming
-            out_a.append(ids[order[ia[m]]].astype(np.int64))
-            out_b.append(ids[order[ib[m]]].astype(np.int64))
-            out_h.append(ham[m])
-        a = np.concatenate(out_a) if out_a else np.empty(0, np.int64)
-        b = np.concatenate(out_b) if out_b else np.empty(0, np.int64)
-        h = np.concatenate(out_h) if out_h else np.empty(0, np.int64)
-        return pa.table({"doc_a": pa.array(a), "doc_b": pa.array(b),
-                         "hamming": pa.array(h)})
+    def hamming_pairs(tbl: pa.Table, ia: np.ndarray, ib: np.ndarray) -> pa.Table:
+        sh = np.asarray(tbl.column("simhash").combine_chunks())
+        ham = _popcount64(sh[ia] ^ sh[ib])
+        m = ham <= max_hamming
+        return pa.table({**_id_pairs(tbl, "doc_id", ia[m], ib[m]), "hamming": pa.array(ham[m])})
 
-    pairs = grouped_sorted_apply(banded, "bkey", ["doc_id"], per_bucket, NB)
+    pairs = _band_pairs(
+        banded, "bkey", "doc_id", hamming_pairs, max_bucket,
+        "degenerate band key (boilerplate/empty docs?) — re-band or pre-filter",
+    )
     # cross-band dedup: hamming is a pure function of the two simhashes, so
     # min() over a pair's band copies IS the pair's hamming
     return grouped_agg(pairs, ["doc_a", "doc_b"], {"hamming": ("hamming", "min")})
@@ -5367,15 +5312,6 @@ _PHASH_BANDS = 4
 _PHASH_MAX_BUCKET = 4096
 
 
-def _popcount64(x: np.ndarray) -> np.ndarray:
-    """Vectorized 64-bit popcount (SWAR) — numpy<2 has no bitwise_count."""
-    x = x.astype(np.uint64, copy=True)
-    x -= (x >> np.uint64(1)) & np.uint64(0x5555555555555555)
-    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
-
-
 @register(
     "phash_near_dups",
     f"""
@@ -5397,10 +5333,10 @@ def phash_near_dups(sf_dir: str):
     pigeonhole-COMPLETE for Hamming ≤ 3 (T=2 here — a pair within T differs
     in ≤ T bands, so ≥ 1 band is identical), so the banded scan provably
     equals the all-pairs SQL oracle.  One canonicalizing aggregate
-    (min phash per image), one banded-bucket exchange with vectorized
-    segment pairing (fail-loud ``max_bucket``), Hamming computed map-side
-    (SWAR popcount) BEFORE the pair-dedup ``grouped_agg`` — no all-pairs
-    stage, no driver materialization."""
+    (min phash per image), one ``_band_pairs`` exchange (fail-loud at
+    ``_PHASH_MAX_BUCKET``), Hamming computed in the bucket (SWAR popcount)
+    BEFORE the pair-dedup ``grouped_agg`` — no all-pairs stage, no driver
+    materialization."""
     events_dir, _ = _fixture(sf_dir)
     from ..sources.readers import read_events
 
@@ -5425,45 +5361,20 @@ def phash_near_dups(sf_dir: str):
 
     emitted = canon.map_batches(bands, batch_format="pyarrow", zero_copy_batch=True)
 
-    def pair_bucket(tbl: pa.Table) -> pa.Table:
-        starts, ends = entity_segments(tbl, "band_key")
-        sizes = ends - starts
-        empty = pa.table({
-            "id_a": pa.array([], pa.string()), "id_b": pa.array([], pa.string()),
-            "dist": pa.array([], pa.int64()),
-        })
-        if sizes.size == 0:
-            return empty
-        if int(sizes.max()) > _PHASH_MAX_BUCKET:
-            raise ValueError(
-                f"phash band bucket of {int(sizes.max())} > {_PHASH_MAX_BUCKET}: "
-                "the phash domain is degenerate for 16-bit banding — use wider "
-                "bands or pre-split the hot band value"
-            )
-        ids = tbl.column("image_id").combine_chunks()
-        ph = np.asarray(tbl.column("phash").combine_chunks()).astype(np.uint64)
-        ia, ib = [], []
-        for s, e in zip(starts, ends):
-            m = e - s
-            if m < 2:
-                continue
-            iu, ju = np.triu_indices(m, k=1)
-            ia.append(iu + s)
-            ib.append(ju + s)
-        if not ia:
-            return empty
-        ia = np.concatenate(ia); ib = np.concatenate(ib)
+    def hamming_pairs(tbl: pa.Table, ia: np.ndarray, ib: np.ndarray) -> pa.Table:
+        ph = np.asarray(tbl.column("phash").combine_chunks())
         d = _popcount64(ph[ia] ^ ph[ib])
         keep = d <= _PHASH_T
-        ia, ib, d = ia[keep], ib[keep], d[keep]
-        a = ids.take(pa.array(ia)).cast(pa.string())
-        b = ids.take(pa.array(ib)).cast(pa.string())
-        swap = np.asarray(pc.greater(a, b))
-        lo = pc.if_else(pa.array(swap), b, a)
-        hi = pc.if_else(pa.array(swap), a, b)
-        return pa.table({"id_a": lo, "id_b": hi, "dist": pa.array(d, pa.int64())})
+        ids = tbl.column("image_id").combine_chunks()
+        return pa.table({"id_a": ids.take(ia[keep]).cast(pa.string()),
+                         "id_b": ids.take(ib[keep]).cast(pa.string()),
+                         "dist": pa.array(d[keep], pa.int64())})
 
-    pairs = grouped_sorted_apply(emitted, "band_key", ["image_id"], pair_bucket, NB)
+    pairs = _band_pairs(
+        emitted, "band_key", "image_id", hamming_pairs, _PHASH_MAX_BUCKET,
+        "the phash domain is degenerate for 16-bit banding — use wider "
+        "bands or pre-split the hot band value",
+    )
     return grouped_agg(pairs, ["id_a", "id_b"], {"dist": ("dist", "min")})
 
 

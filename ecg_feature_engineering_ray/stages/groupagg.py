@@ -21,7 +21,8 @@ statistics (median, percentiles) belong in ``partition.grouped_sorted_apply``
 instead.
 
 Both steps are Arrow ``TableGroupBy`` aggregates driven by one table,
-``_PARTS``: each fn names the partial columns it reads, and each partial
+``_PARTS``: each fn names the partial columns it reads (min and max of a
+floating column also read its NaN flags, ``_FLOAT_PARTS``), and each partial
 column names its per-batch aggregate and its merge aggregate.  The result
 follows SQL (DuckDB) semantics whatever the block layout: nulls are skipped
 and a group with no non-null value gives null (count 0); NaN is a value —
@@ -77,19 +78,26 @@ _PARTS = {
     "sum_cents": ("cents",),
     "mean": ("sum", "cnt"),
     "std": ("sum", "sumsq", "cnt"),
-    "min": ("min", "cnt", "nan"),
-    "max": ("max", "nan"),
+    "min": ("min",),
+    "max": ("max",),
     "count_distinct": ("set",),
 }
+# fn → the partial columns it reads on top of _PARTS for a floating source:
+# the NaN flags (and for min the count) that decide a NaN result
+_FLOAT_PARTS = {"min": ("cnt", "nan"), "max": ("nan",)}
 
 
-def _parts_of(specs: dict[str, tuple[str, str]]) -> list[tuple[str, str]]:
-    """Distinct (part, source) pairs the specs read, in first-use order."""
+def _parts_of(specs: dict[str, tuple[str, str]], floating) -> list[tuple[str, str]]:
+    """Distinct (part, source) pairs the specs read, in first-use order.
+    ``floating(src, fn)`` tells whether the source column is floating."""
     out: dict[tuple[str, str], None] = {}
     for src, fn in specs.values():
         if fn not in _PARTS:
             raise ValueError(f"unsupported aggregate {fn!r}")
-        for part in ("rows",) if fn == "count" and src == "*" else _PARTS[fn]:
+        parts = ("rows",) if fn == "count" and src == "*" else _PARTS[fn]
+        if fn in _FLOAT_PARTS and floating(src, fn):
+            parts += _FLOAT_PARTS[fn]
+        for part in parts:
             out[(part, src)] = None
     return list(out)
 
@@ -113,7 +121,7 @@ def _group(tbl: pa.Table, keys: list[str], parts: list[tuple[str, str]], step: i
 def _partial_agg(batch: pa.Table, keys: list[str], specs: dict[str, tuple[str, str]]) -> pa.Table:
     """The per-batch step: one row per group of ``batch`` holding the
     partial columns of ``specs``."""
-    parts = _parts_of(specs)
+    parts = _parts_of(specs, lambda src, _: pa.types.is_floating(batch.schema.field(src).type))
     cols = {k: batch.column(k) for k in keys}
     for p, s in parts:
         if p != "rows":
@@ -138,7 +146,8 @@ def _final_agg(tbl: pa.Table, keys: list[str], specs: dict[str, tuple[str, str]]
               round_to: int | None = None) -> pa.Table:
     """The merge step over partial rows (any number of groups, zero rows
     included): one row per group, ``keys`` then the ``specs`` columns."""
-    parts = _parts_of(specs)
+    # a min/max partial column keeps its source column's type
+    parts = _parts_of(specs, lambda src, fn: pa.types.is_floating(tbl.schema.field(_col(fn, src)).type))
     merged = _group(tbl, keys, [(p, s) for p, s in parts if p != "set"], 2) \
         .sort_by([(k, "ascending") for k in keys])
 

@@ -104,15 +104,6 @@ def fixed_windows(
     return out
 
 
-def count_based_windows(n: int, seg_num: int, seg_length: int) -> list[tuple[int, int, int]]:
-    """Exactly ``seg_num`` windows covering n rows — overlap derived, the
-    reference's ``Stack_Segs_generate`` (/root/reference/HRV_features.py:63-87)."""
-    if n < seg_length or seg_num <= 1:
-        return [(0, 0, min(n, seg_length))]
-    stride = max(1, (n - seg_length) // (seg_num - 1))
-    return [(i, i * stride, i * stride + seg_length) for i in range(seg_num)]
-
-
 def indicator_grid(
     tbl: pa.Table,
     key: str,

@@ -104,3 +104,17 @@ def test_global_agg_matches_duckdb(rows):
     bad = [f"{c}: got {got[c][0].as_py()!r}, DuckDB {want[c][0].as_py()!r}"
            for c in want.column_names if not _same(got[c][0].as_py(), want[c][0].as_py())]
     assert not bad, bad
+
+
+def test_integer_min_max_partials_ship_only_their_own_column():
+    """An integer min/max reads no NaN flags, so its partial table carries
+    only the min/max column; a float source keeps its NaN bookkeeping."""
+    tbl = pa.table({"g": pa.array(["a", "a", "b"]),
+                    "i": pa.array([3, 1, 2], pa.int64()),
+                    "x": pa.array([NAN, 1.0, 2.0], pa.float64())})
+    specs = {"lo": ("i", "min"), "hi": ("i", "max"), "xlo": ("x", "min"), "xhi": ("x", "max")}
+    partial = _partial_agg(tbl, ["g"], specs)
+    assert partial.column_names == ["g", "__min:i", "__max:i", "__min:x", "__cnt:x", "__nan:x", "__max:x"]
+    out = _final_agg(partial, ["g"], specs)
+    assert out.to_pydict()["lo"] == [1, 2] and out.to_pydict()["hi"] == [3, 2]
+    assert math.isnan(out["xhi"][0].as_py()) and out["xlo"].to_pylist() == [1.0, 2.0]

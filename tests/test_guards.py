@@ -9,11 +9,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ecg_feature_engineering_ray.pipelines.queries import (
-    _guard_oracle_cap,
-    near_dup_pairs,
-    simhash_near_dups,
-)
+from ecg_feature_engineering_ray.pipelines import queries
+from ecg_feature_engineering_ray.pipelines.queries import _guard_oracle_cap, near_dup_pairs
 
 SF = "/root/testdata/sf0.001"
 
@@ -24,16 +21,18 @@ def test_guard_oracle_cap_raises_and_passes():
         _guard_oracle_cap(4097, 4096, "over the bound")
 
 
-def test_simhash_degenerate_bucket_raises(ray_session):
-    # max_bucket=1 makes ANY band collision "degenerate" — the planted
-    # near-dups in the fixture guarantee at least one collision
+@pytest.mark.parametrize(
+    "query", ["near_dup_pairs", "simhash_near_dups", "embedding_near_dups", "phash_near_dups"]
+)
+def test_degenerate_bucket_raises(ray_session, monkeypatch, query):
+    # a bound of 1 makes ANY blocking-key collision "degenerate" — the
+    # planted near-dups (and, for phash, the hot phash values) guarantee at
+    # least one collision.  phash's bound is a module constant, read on the
+    # driver and shipped to the bucket tasks with the pairing function.
+    monkeypatch.setattr(queries, "_PHASH_MAX_BUCKET", 1)
+    kwargs = {} if query == "phash_near_dups" else {"max_bucket": 1}
     with pytest.raises(Exception, match="max_bucket"):
-        simhash_near_dups(SF, max_bucket=1).materialize()
-
-
-def test_minhash_degenerate_bucket_raises(ray_session):
-    with pytest.raises(Exception, match="max_bucket"):
-        near_dup_pairs(SF, max_bucket=1).materialize()
+        getattr(queries, query)(SF, **kwargs).materialize()
 
 
 def test_near_dup_pairs_dup_heavy_distributed(ray_session, tmp_path):

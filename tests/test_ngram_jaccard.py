@@ -117,8 +117,8 @@ def test_prefix_lemma_no_false_negatives(data):
 def test_length_filter_no_false_negatives(data):
     """The AllPairs LENGTH filter keeps every pair with J ≥ τ: J(A,B) ≥ τ
     forces min(|A|,|B|)/max(|A|,|B|) ≥ τ, so the integer pruning test
-    tau_den·min ≥ tau_num·max (as implemented in _bucketed_candidate_pairs)
-    never drops a true pair."""
+    tau_den·min ≥ tau_num·max (as implemented in ngram_jaccard_pairs'
+    ``_band_pairs`` pair function) never drops a true pair."""
     universe = [f"g{i}" for i in range(24)]
     a = data.draw(st.sets(st.sampled_from(universe), min_size=1))
     b = data.draw(st.sets(st.sampled_from(universe), min_size=1))

@@ -9,7 +9,6 @@ from ecg_feature_engineering_ray.stages.session import session_segments
 from ecg_feature_engineering_ray.stages.window import (
     _row_entity_end,
     _row_entity_start,
-    count_based_windows,
     fixed_windows,
     lag_column,
     lead_column,
@@ -86,13 +85,6 @@ def test_fixed_windows_policies():
     assert fixed_windows(10, 4, 2) == [(0, 0, 4), (1, 2, 6), (2, 4, 8), (3, 6, 10), (4, 8, 10)]
     assert fixed_windows(9, 4, 2)[-1] == (3, 6, 9)  # partial tail kept
     assert fixed_windows(9, 4, 2, policy="drop")[-1] == (2, 4, 8)
-
-
-def test_count_based_windows():
-    w = count_based_windows(100, 5, 40)
-    assert len(w) == 5
-    assert w[0] == (0, 0, 40)
-    assert w[-1][2] <= 100 + 40
 
 
 def test_lance_write_seam(tmp_path, monkeypatch):
