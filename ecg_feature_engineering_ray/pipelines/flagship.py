@@ -49,33 +49,33 @@ def compute_bucket_plan(
     num_buckets: int,
     sampen_max_n: int = 400,
 ) -> dict:
-    """Cost-balanced bucket plan from key-column count passes.
+    """Cost-balanced bucket plan from exact key counts (``entity_counts``).
 
     Merge-stage cost model, priced once per entity: the SampEn columns of all
     an entity's queries come from ONE pair pass over its capped event series
     (:func:`~..functions.entropy.sampen_hrv_prefixes`), O(min(n, cap)²); the
     other feature columns scan each query's prefix, O(q·n); the sort and the
-    exchange move its n rows.  So an entity with n events and q queries costs
-    about min(n, cap)² + q·n + n, and :func:`plan_buckets` LPT-places every
-    entity that costs a quarter of a bucket's share or more.
+    exchange move its n rows.  So an entity with n events and q queries (0
+    when it has none) costs min(n, cap)² + q·n + n, priced in int64 numpy,
+    and :func:`plan_buckets` LPT-places every entity that costs a quarter of
+    a bucket's share or more.
 
     That is the engine's only skew mechanism (query-split salting repeated
     the shared pair pass once per salt group, and went).  An entity heavier
     than a bucket's share gets a bucket of its own; the merge's makespan is
-    then bound by that entity, not by hash luck.
-    In production this is a periodic stats job whose output is reused across
-    runs — callers may compute it once and pass ``bucket_plan`` to
-    :func:`pit_features`.
+    then bound by that entity, not by hash luck.  In production this is a
+    periodic stats job whose output is reused across runs — callers may
+    compute it once and pass ``bucket_plan`` to :func:`pit_features`.
 
     Returns ``{"plan": {image_id → bucket}}``.
     """
-    ev_counts = entity_counts(read_events(events_dir, columns=["image_id"]), "image_id")
-    q_counts = entity_counts(read_fragments(queries_path, columns=["image_id"]), "image_id")
-    costs = {
-        k: min(n, sampen_max_n) ** 2 + q_counts.get(k, 0) * n + n
-        for k, n in ev_counts.items()
-    }
-    return {"plan": plan_buckets(costs, num_buckets)}
+    ev = entity_counts(read_events(events_dir, columns=["image_id"]), "image_id")
+    q = entity_counts(read_fragments(queries_path, columns=["image_id"]), "image_id")
+    keys, n = ev.column("image_id"), ev.column("n").to_numpy()
+    at = pc.index_in(keys, value_set=q.column("image_id"))
+    qn = q.column("n").take(at).fill_null(0).to_numpy()
+    costs = np.minimum(n, sampen_max_n) ** 2 + qn * n + n
+    return {"plan": plan_buckets(keys, costs, num_buckets)}
 
 
 def _project_queries(b: pa.Table) -> pa.Table:  # as-of points by image_id

@@ -14,13 +14,15 @@ down to the key + order + value columns first (images' ``bytes`` never enter
 the shuffle — see pipelines.flagship).
 
 Hot-key (skew) handling: the reference has no analog (its skew is "the
-longest ECG record just takes longer", SURVEY.md §4).  One tool, fed by the
-shuffle-free partial-count pre-pass (:func:`entity_counts`):
+longest ECG record just takes longer", SURVEY.md §4).  One tool, fed by
+exact per-entity counts (:func:`entity_counts`: each block's Arrow
+``value_counts``, merged on the driver by one group-by sum, no shuffle):
 ``plan_buckets`` — greedy LPT packing of the entities that cost a quarter
-of a bucket's share or more onto the least-loaded buckets (hash for the
-light tail), applied through ``explicit_map``.  An entity always lives in
-exactly one bucket, so entity-level order statistics stay exact and a
-bucket id depends only on the key and the plan (:func:`bucket_ids`).
+of a bucket's share or more (so at most 4 × num_buckets of them) onto the
+least-loaded buckets (hash for the light tail), applied through
+``explicit_map``.  An entity always lives in exactly one bucket, so
+entity-level order statistics stay exact and a bucket id depends only on
+the key and the plan (:func:`bucket_ids`).
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from typing import Callable
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-import ray
 from ray.data import Dataset
 
 from ..functions.hashing import bucket_of_ints, bucket_of_strings
@@ -71,15 +73,12 @@ def bucket_ids(
     else:
         ids = bucket_of_strings(col.cast(pa.string()), num_buckets)
     if plan:
-        # vectorized override: dictionary-encode → LUT over the UNIQUE keys
-        # only (the skewed-run hot path; no per-row Python)
-        d = col.dictionary_encode()
-        lut = np.fromiter(
-            (plan.get(v, -1) for v in d.dictionary.to_pylist()),
-            dtype=np.int64, count=len(d.dictionary),
-        )
-        mapped = lut[np.asarray(d.indices)]
-        ids = np.where(mapped >= 0, mapped, ids)
+        # the plan's keys as a column of the key's type; a key the plan does
+        # not name keeps its hash bucket
+        keys = pa.array(list(plan)).cast(col.type)
+        where = np.asarray(pc.index_in(col, value_set=keys).fill_null(-1))
+        to = np.fromiter(plan.values(), dtype=np.int64, count=len(plan))
+        ids = np.where(where >= 0, to[where], ids)
     return ids
 
 
@@ -99,62 +98,51 @@ def with_bucket(
     return ds.map_batches(assign, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def entity_counts(ds: Dataset, key: str, max_tracked: int | None = 1_000_000) -> dict:
-    """Per-entity row counts via the shuffle-free partial-count pass.
+def entity_counts(ds: Dataset, key: str) -> pa.Table:
+    """Exact per-entity row counts, as an Arrow table ``(key, n)``.
 
-    Driver-side result — call on a pruned key column.  ``max_tracked``
-    bounds driver memory with SPACE-SAVING semantics (Metwally et al. —
-    public heavy-hitters algorithm): when the map exceeds the cap, the
-    lightest keys are evicted and later arrivals of NEW keys inherit the
-    largest evicted count as a floor, so every surviving count is an
-    OVERESTIMATE by at most that floor.  Overestimates are safe for skew
-    planning (conservative packing); exact counts for the light
-    tail don't matter because the tail rides the hash anyway.  Pass ``None``
-    for an exact unbounded map (test-scale cardinalities).
+    Each block counts its own keys (``value_counts``, no shuffle); the driver
+    streams those partials in and merges them with one Arrow group-by sum.
+    So the driver holds one Arrow row per distinct entity of each block until
+    the merge, and one per distinct entity after it.  Call it on a pruned key
+    column.
     """
 
     def partial_counts(batch: pa.Table) -> pa.Table:
         vc = batch.column(key).combine_chunks().value_counts()
-        return pa.table({key: vc.field("values"), "__cnt": vc.field("counts")})
+        return pa.table({key: vc.field("values"), "n": vc.field("counts")})
 
-    merged: dict = {}
-    floor = 0  # max count ever evicted — the space-saving overestimate bound
     partials = ds.map_batches(partial_counts, batch_format="pyarrow", zero_copy_batch=True)
-    for b in partials.iter_batches(batch_format="pyarrow"):
-        for v, c in zip(b.column(key).to_pylist(), b.column("__cnt").to_pylist()):
-            prev = merged.get(v)
-            merged[v] = (floor + c) if prev is None else (prev + c)
-        if max_tracked and len(merged) > 2 * max_tracked:
-            keep = sorted(merged.items(), key=lambda kv: kv[1], reverse=True)
-            floor = max(floor, keep[max_tracked][1])
-            merged = dict(keep[:max_tracked])
-    if max_tracked and len(merged) > max_tracked:
-        keep = sorted(merged.items(), key=lambda kv: kv[1], reverse=True)
-        merged = dict(keep[:max_tracked])
-    return merged
+    parts = list(partials.iter_batches(batch_format="pyarrow"))
+    if not parts:  # no rows: zero counts, keyed in the input's key type
+        parts = [pa.table({key: pa.array([], ds.schema().base_schema.field(key).type),
+                           "n": pa.array([], pa.int64())})]
+    merged = pa.concat_tables(parts).group_by(key).aggregate([("n", "sum")])
+    return pa.table({key: merged.column(key), "n": merged.column("n_sum")})
 
 
-def plan_buckets(costs: dict, num_buckets: int) -> dict:
+def plan_buckets(keys: pa.Array | pa.ChunkedArray, costs: np.ndarray, num_buckets: int) -> dict:
     """Greedy LPT packing of heavy entities into balanced buckets.
 
-    ``costs`` maps each entity to its estimated merge cost.  Entities costing
-    at least ``HEAVY_FRAC`` × (total/num_buckets) are explicitly placed on
-    the currently least-loaded bucket (largest first); light entities stay on
-    the hash (their law-of-large-numbers sum is already balanced).  Returns
-    {key → bucket}.  This is the engine's answer to hash-luck stragglers: the
-    slowest merge task is capped near max(mean, heaviest entity) instead of
-    ~3× the mean.
+    ``costs[i]`` (int64) is entity ``keys[i]``'s estimated merge cost.  Entities
+    costing at least ``HEAVY_FRAC`` × (total/num_buckets) — at most
+    ``num_buckets / HEAVY_FRAC`` of them — are placed, largest first (ties
+    by key, descending), on the currently least-loaded bucket; light
+    entities stay on the hash (their law-of-large-numbers sum is already
+    balanced).  Returns {key → bucket} in placement order.  This is the
+    engine's answer to hash-luck stragglers: the slowest merge task is
+    capped near max(mean, heaviest entity) instead of ~3× the mean.
     """
     import heapq  # noqa: PLC0415
 
-    total = sum(costs.values())
+    total = int(costs.sum())
     if total == 0 or num_buckets <= 0:
         return {}
-    threshold = HEAVY_FRAC * total / num_buckets
-    heavy = sorted((c, k) for k, c in costs.items() if c >= threshold)
-    heavy.reverse()
+    is_heavy = costs >= HEAVY_FRAC * total / num_buckets
+    heavy = sorted(zip(costs[is_heavy].tolist(), keys.filter(pa.array(is_heavy)).to_pylist()),
+                   reverse=True)
     # seed heap with the expected hash load of light entities per bucket
-    light_load = (total - sum(c for c, _ in heavy)) / num_buckets
+    light_load = (total - int(costs[is_heavy].sum())) / num_buckets
     heap = [(light_load, b) for b in range(num_buckets)]
     heapq.heapify(heap)
     out: dict = {}
@@ -196,8 +184,6 @@ def grouped_sorted_apply(
         skip = sorted(skip_buckets)
 
         def drop_done(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc  # noqa: PLC0415
-
             mask = pc.invert(pc.is_in(batch.column(BUCKET_COL), value_set=pa.array(skip, pa.int32())))
             return batch.filter(mask)
 

@@ -208,6 +208,38 @@ def test_bucket_plan_places_hot_entity_alone(fixture_events, fixture_queries):
         assert [k for k, b in plan.items() if b == plan[hot]] == [hot]
 
 
+@pytest.mark.parametrize("empty", ["queries", "events", "both"])
+def test_compute_bucket_plan_zero_rows(fixture_events, fixture_queries, tmp_path, empty):
+    """A zero-row side plans like a side without entities: zero-row events
+    (one empty fragment) place nothing, and a zero-row queries file prices
+    every entity with no queries."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from ecg_feature_engineering_ray.pipelines.flagship import compute_bucket_plan
+    from ecg_feature_engineering_ray.stages.partition import plan_buckets
+
+    events_dir, queries = fixture_events[0], fixture_queries
+    if empty in ("events", "both"):
+        first = sorted(f for f in os.listdir(events_dir) if f.endswith(".parquet"))[0]
+        schema = pq.read_schema(os.path.join(events_dir, first))
+        events_dir = str(tmp_path / "events")
+        os.makedirs(events_dir)
+        pq.write_table(schema.empty_table(), os.path.join(events_dir, "part-0.parquet"))
+    if empty in ("queries", "both"):
+        queries = str(tmp_path / "queries.parquet")
+        pq.write_table(pq.read_schema(fixture_queries).empty_table(), queries)
+
+    got = compute_bucket_plan(events_dir, queries, num_buckets=16)
+    if empty == "queries":
+        ids = pq.read_table(events_dir, columns=["image_id"]).column("image_id").to_numpy()
+        keys, n = np.unique(ids, return_counts=True)
+        want = plan_buckets(pa.array(keys), np.minimum(n, 400) ** 2 + n, 16)
+        assert want and list(got["plan"].items()) == list(want.items())
+    else:
+        assert got == {"plan": {}}
+
+
 def test_checkpointed_lpt_plan_resume_and_balance(
     fixture_events, fixture_queries, oracle_result, tmp_path
 ):

@@ -1,5 +1,6 @@
 """``md5_keys`` equals the per-row ``hashlib`` key formula it replaces;
-``bucket_ids`` routes null keys to one bucket."""
+``bucket_ids`` routes null keys to one bucket and follows a plan like a
+per-key ``dict.get``."""
 
 import datetime
 import hashlib
@@ -55,3 +56,23 @@ def test_bucket_ids_route_null_keys_to_one_bucket(keys):
             got = bucket_ids(pa.chunked_array([with_nulls[:2], with_nulls[2:]]), 8, p)
         assert got.tolist() == [0] + want[:3].tolist() + [0] + want[3:].tolist()
     assert bucket_ids(pa.array([None, None], pa.string()), 8).tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("kind", ["int", "str"])
+def test_bucket_ids_plan_matches_dict_get(kind):
+    """With a plan, a key's bucket is ``plan.get(key, hash bucket)``: planned
+    keys go where the plan says, the rest keep their hash bucket, in one
+    array and across chunks."""
+    from ecg_feature_engineering_ray.stages.partition import bucket_ids
+
+    rng = np.random.default_rng(5)
+    ints = rng.integers(0, 300, size=2000)
+    keys = ints.tolist() if kind == "int" else [f"k{k}" for k in ints.tolist()]
+    planned = sorted(set(keys), key=str)[::7]
+    plan = {k: int(b) for k, b in zip(planned, rng.integers(0, 16, size=len(planned)))}
+    hashed = bucket_ids(pa.array(keys), 16)
+    want = [plan.get(k, int(h)) for k, h in zip(keys, hashed)]
+    assert any(k not in plan for k in keys) and any(k in plan for k in keys)
+    chunked = pa.chunked_array([pa.array(keys[:700]), pa.array(keys[700:1500]), pa.array(keys[1500:])])
+    for arg in (pa.array(keys), chunked):
+        assert bucket_ids(arg, 16, plan).tolist() == want

@@ -3,6 +3,7 @@
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 
 from ecg_feature_engineering_ray.stages.partition import entity_segments
 from ecg_feature_engineering_ray.stages.session import session_segments
@@ -148,27 +149,70 @@ def test_lance_real_roundtrip(tmp_path, monkeypatch):
     assert again == man
 
 
-def test_entity_counts_space_saving(ray_session):
-    """Bounded-memory entity counts: heavy keys exact-or-overestimated,
-    cap respected, light tail evicted safely."""
-    import numpy as np
-    import pyarrow as pa
-
+@pytest.mark.parametrize("blocks", [1, 8])
+@pytest.mark.parametrize("kind", ["int", "str"])
+def test_entity_counts_exact(ray_session, kind, blocks):
+    """``entity_counts`` equals ``np.unique`` counts exactly, whatever the
+    block layout: heavy keys and a long light tail alike."""
     import ray.data
 
     from ecg_feature_engineering_ray.stages.partition import entity_counts
 
     rng = np.random.default_rng(3)
-    heavy = np.repeat(np.arange(5), 500)
-    light = rng.integers(1000, 3000, size=2000)
-    keys = np.concatenate([heavy, light])
+    keys = np.concatenate([np.repeat(np.arange(5), 500), rng.integers(1000, 3000, size=2000)])
     rng.shuffle(keys)
-    ds = ray.data.from_arrow(pa.table({"k": pa.array(keys, pa.int64())}))
+    col = pa.array(keys, pa.int64()) if kind == "int" else pa.array(keys).cast(pa.string())
+    ds = ray.data.from_arrow(pa.table({"k": col}))
+    if blocks > 1:
+        ds = ds.repartition(blocks)
 
-    exact = entity_counts(ds, "k", max_tracked=None)
-    assert all(exact[k] == 500 for k in range(5))
+    got = entity_counts(ds, "k").sort_by("k")
+    assert got.column_names == ["k", "n"] and got.schema.field("k").type == col.type
+    want_k, want_n = np.unique(np.asarray(col.to_pylist(), dtype=object), return_counts=True)
+    assert got.column("k").to_pylist() == want_k.tolist()
+    assert got.column("n").to_pylist() == want_n.tolist()
 
-    capped = entity_counts(ds.repartition(8), "k", max_tracked=50)
-    assert len(capped) <= 50
-    for k in range(5):
-        assert k in capped and capped[k] >= 500  # never underestimates heavies
+
+def _plan_buckets_reference(costs: dict, num_buckets: int) -> dict:
+    """The dict-based LPT packing ``plan_buckets`` replaced, kept verbatim as
+    the reference for its plan and its insertion order."""
+    import heapq
+
+    from ecg_feature_engineering_ray.stages.partition import HEAVY_FRAC
+
+    total = sum(costs.values())
+    if total == 0 or num_buckets <= 0:
+        return {}
+    threshold = HEAVY_FRAC * total / num_buckets
+    heavy = sorted((c, k) for k, c in costs.items() if c >= threshold)
+    heavy.reverse()
+    # seed heap with the expected hash load of light entities per bucket
+    light_load = (total - sum(c for c, _ in heavy)) / num_buckets
+    heap = [(light_load, b) for b in range(num_buckets)]
+    heapq.heapify(heap)
+    out: dict = {}
+    for c, k in heavy:
+        load, b = heapq.heappop(heap)
+        out[k] = b
+        heapq.heappush(heap, (load + c, b))
+    return out
+
+
+@pytest.mark.parametrize("num_buckets", [1, 7, 64])
+def test_plan_buckets_matches_dict_reference(num_buckets):
+    """The columnar ``plan_buckets`` gives the dict reference's plan item for
+    item, in the same order (run configs store the plan in insertion order):
+    costs with many ties, so the key-descending tie order is exercised."""
+    from ecg_feature_engineering_ray.stages.partition import plan_buckets
+
+    rng = np.random.default_rng(11)
+    for trial in range(20):
+        n = int(rng.integers(1, 400))
+        keys = [f"e{int(k)}" for k in rng.choice(100_000, size=n, replace=False)]
+        # a few heavy values shared by many keys, over a light tail
+        costs = np.where(rng.random(n) < 0.1, rng.integers(1, 4, size=n) * 1000,
+                         rng.integers(0, 5, size=n)).astype(np.int64)
+        want = _plan_buckets_reference(dict(zip(keys, costs.tolist())), num_buckets)
+        got = plan_buckets(pa.array(keys), costs, num_buckets)
+        assert list(got.items()) == list(want.items()), trial
+    assert plan_buckets(pa.array(["a"]), np.zeros(1, np.int64), num_buckets) == {}
