@@ -1,106 +1,65 @@
-"""Benchmark entrypoint — one JSON line per run.
+"""Benchmark entrypoint: one JSON line per run.
 
-  python bench.py                 # suite over $GRAFT_SF_DIR (default sf0.1),
-                                  #   ray.init(num_cpus=$RAY_GRAFT_CPUS or
-                                  #   the CPU affinity)
-  python bench.py --scaling       # headline pipeline at N and 4N CPUs
-                                  #   (default n/4→n, n the CPU affinity)
-                                  #   in fresh processes
-                                  #   → scaling efficiency
+  python bench.py                  # per-query suite over $GRAFT_SF_DIR (default
+                                   #   sf0.1), the flagship, then the scaling
+                                   #   pair (GRAFT_BENCH_SCALING=0 skips it)
+  python bench.py --scaling        # the scaling pair alone
+  python bench.py --arm CPUS DIR   # one arm of the pair (the pair starts it)
 
-Headline metric (BASELINE.json): as-of join + window-feature rows/s —
-entity×timestamp feature vectors emitted by the flagship PIT pipeline over
-the synthetic image+caption fixture, plus per-query wall times for the
-operator suite over the TPC-H-ish tables.
+Ray is sized to the CPU affinity.  The last stdout line is a compact JSON
+headline; the full result goes to ``bench_detail.json`` beside this file.
 
-Two fixture profiles:
-- ``default``  — short series (median 40 events ≙ beats/record), mixed image
-  sizes, light SampEn cap: the per-round regression suite.
-- ``scaling``  — reference-length series (median 2400 events, SampEn cap 3000
-  ≙ sample entropy over full ECG records, the reference's dominant kernel
-  /root/reference/QRS_features.py:59-246): compute-dominated so the 8→32 CPU
-  strong-scaling measurement reflects the engine, not fixed startup costs.
-  Hot-key stats are precomputed once outside the timed window (a periodic
-  stats job in production, not per-query work).
+- Flagship: perfbench's ``pit_stream`` workload.  Its set-up builds the
+  inputs, warms up and checks the output against ``tests/oracle.py``; one
+  traced iteration then gives ``flagship_rows``, the wall time and the
+  per-stage figures.
+- Scaling pair (the north rule: efficiency ≥ 0.8 from N to 4N): max(1, n // 4)
+  → n CPUs, n the CPU affinity.  The parent builds ``SCALING``'s input and
+  bucket plan once; each arm is a fresh process that runs ``pit_features``
+  over it with that plan.  ``ROUNDS`` rounds with alternating arm order;
+  a round's efficiency is hi / (lo · k), k = hi/lo CPUs, and the headline is
+  the median over every round: none is gated, dropped, replaced or rescaled.
+  The arms must produce the same feature digest.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
+import traceback
+
+import pyarrow as pa
+
+from perfbench import host
+from perfbench.fixtures import ImageProfile
+from perfbench.trace import Tracer
+from perfbench.workloads import Ctx, PitStream, feature_digest
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
-PROFILE = os.environ.get("GRAFT_BENCH_PROFILE", "default")
-# cost-model/plan-format version: part of the on-disk plan cache key so a
-# cost-model change invalidates stale cached plans (bump alongside
-# compute_bucket_plan semantics, like _FIXTURE_SCHEMA_V does for fixtures)
-_PLAN_V = 3
+ROOT = os.path.dirname(os.path.abspath(__file__))
+NUM_CPUS = host.host_cpus()
+LO_CPUS, HI_CPUS = max(1, NUM_CPUS // 4), NUM_CPUS
+ROUNDS = 3
+SEED = 42
+MAX_LINE = 1900  # the compact line must fit the tail that records a run
 
-# Scaling pair (N→4N CPUs, fresh processes, same input), sized to the host:
-# max(1, n // 4) → n, with n the CPUs this process may run on (1→4 on a
-# 4-CPU host).  A wide arm above the host's CPUs oversubscribes it, and its
-# ratio then measures the host, not the engine.  Work scales with the wide
-# arm (5000 queries per hi-arm CPU) so every pair runs in the same
-# F-amortized regime.  Override with GRAFT_SCALING_CPUS="2,8" / "4,16";
-# BASELINE.md records all pairs.
-_HOST_CPUS = len(os.sched_getaffinity(0))
-_SC_LO, _SC_HI = (int(c) for c in os.environ.get(
-    "GRAFT_SCALING_CPUS", f"{max(1, _HOST_CPUS // 4)},{_HOST_CPUS}").split(","))
+# Reference-length series (about 2,400 events per entity, SampEn cap 4,000),
+# so the merge's compute, not fixed start-up, dominates both arms.  One bucket
+# count for both arms, so they run the same per-bucket work; 5,000 queries
+# per wide-arm CPU; at least one fragment (one read→decode task) per wide-arm
+# CPU.
+SCALING = ImageProfile(n_entities=400, total_rows=960_000, sigma=0.3, dims=(32,),
+                       hot_frac=0.0, hot_dim=32, n_queries=5000 * HI_CPUS, sampen_cap=4000,
+                       buckets=128, n_fragments=max(16, HI_CPUS))
 
-PROFILES = {
-    "default": {
-        "entities": int(os.environ.get("GRAFT_FIXTURE_ENTITIES", "800")),
-        "queries": int(os.environ.get("GRAFT_FIXTURE_QUERIES", "8000")),
-        "median_events": 40,
-        "sigma": 0.6,
-        "dims": (32, 64, 128),
-        "sampen_max_n": 400,
-        "run_suite": True,
-        # bucket grid: buckets_per_cpu × CPUs merge tasks, so the pool can
-        # balance dynamically
-        "buckets_per_cpu": 8,
-    },
-    "scaling": {
-        "entities": 400,
-        # 5000 queries per hi-arm CPU (80k at 4→16, 40k at 2→8): round 4
-        # halved the 96k arms for drift exposure, but the round-4 2×
-        # decode-kernel speedup shrank per-row compute so the 16-CPU arm's
-        # wall fell to ~90 s where its ~25 s of fixed cost
-        # (decode-pool ramp + exchange/tail idle) is an Amdahl floor — the
-        # driver artifact read 0.674.  Scaling the work WITH the pair
-        # keeps the hi arm in the F-amortized regime (measured at 2→8:
-        # 48k queries → hi 227 s raw eff 0.869; 40k → hi ≈ 190 s) while a
-        # 3-round measurement stays under ~45 min.
-        "queries": int(os.environ.get("GRAFT_SCALING_QUERIES", str(5000 * _SC_HI))),
-        "median_events": 2400,
-        "sigma": 0.3,
-        "dims": (32,),
-        # 4000 (round 5, was 3000): with the round-4 2× decode-kernel
-        # speedup the 16-CPU arm's wall had drifted to ~145-180 s where the
-        # ~17 s pre-merge exchange + ~25 s staged decode are a larger
-        # Amdahl share (measured per-round raw 0.72-0.80 on 2026-08-19).
-        # The deeper SampEn cap scales per-row merge compute so the hi arm
-        # stays ≥ ~200 s — the regime where rounds 2-3 measured 0.885-0.916.
-        "sampen_max_n": 4000,
-        "run_suite": False,
-        # ONE fixed grid for BOTH arms (see num_buckets resolution in
-        # run_suite): 128 buckets = 16 waves at 8 CPUs / 64 at 2 (8 waves
-        # at 16 / 32 at 4 for the override pair), and both arms load the
-        # identical cached plan file.
-        "num_buckets": 128,
-        "buckets_per_cpu": 16,  # unused when num_buckets is pinned
-    },
-}
-
-# block → its queries.  "base" is the headline suite summed into ``value``.
-# Every later block (added in a later round) reports its own
-# "<block>_suite_s" and stays out of ``value``, so the headline suite wall
-# stays comparable with earlier rounds' BENCH artifacts.
+# block → its queries.  "base" is the headline suite summed into ``value``;
+# every other block reports its own "<block>_suite_s" and stays out of it, so
+# the headline stays comparable with earlier BENCH artifacts.
 SUITES = {
     "base": [
         "asof_error_features", "user_value_stats", "rr_interval_stats",
@@ -108,33 +67,23 @@ SUITES = {
         "revenue_by_segment", "orders_by_nation", "exact_dedup_docs",
         "minhash_signatures", "knn_neighbor_counts", "doc_token_stats",
     ],
-    # round 4: near-dup scans
     "neardup": [
         "near_dup_pairs", "ngram_jaccard_pairs", "simhash_near_dups",
         "embedding_near_dups", "phash_near_dups",
     ],
-    # round 4: hopping windows, KMV distinct sketch, stratified sampling,
-    # histogram, per-group top-k
     "sketch": [
         "hopping_window_counts", "approx_distinct_kmv", "value_histogram",
         "stratified_sample_docs", "capped_docs_per_source", "top_docs_per_lang",
         "value_quantiles_by_type",
     ],
-    # round 4: two-pass TF-IDF, iterative connected-components dedup
     "corpus": ["tfidf_top_terms", "dup_clusters"],
-    # round 4: big×big shuffle equi-join, broadcast range join
     "join": ["join_late_shipments", "join_priority_revenue", "price_band_revenue"],
-    # round 4: window ranks, rollup, pivot, forward as-of, grouped mode,
-    # funnel, distributed k-means
     "relml": [
         "rank_events_per_user", "revenue_rollup", "event_type_pivot",
         "asof_next_event", "top_event_type_per_user", "funnel_signup_purchase",
         "kmeans_embeddings", "value_decile_assign", "rolling_active_users",
         "cohort_retention", "events_since_purchase", "asof_nearest_event",
     ],
-    # round 5: grouped z-score, rolling median, weighted sampling,
-    # decontamination, repetition filter, packing, unigram LM, shard
-    # manifest, product quantization
     "r5": [
         "zscore_by_type", "rolling_median7_per_user", "weighted_sample_docs",
         "decontaminate_docs", "doc_repetition_filter", "pack_sequences",
@@ -143,558 +92,214 @@ SUITES = {
 }
 
 
-def fixture_dirs(prof: dict) -> tuple[str, str]:
-    """Bench fixture (cached across runs — generation is deterministic)."""
-    tag = f"e{prof['entities']}_m{prof['median_events']}_d{prof['dims'][0]}_s42"
-    base = f"/tmp/efr_bench_fixture_{tag}"
-    events_dir = os.path.join(base, "events")
-    queries_path = os.path.join(base, f"queries_{prof['queries']}.parquet")
-    marker = os.path.join(base, "DONE")
-    if not os.path.exists(marker):
-        from ecg_feature_engineering_ray.sources.fixture import (
-            generate_asof_queries,
-            generate_events_parallel,
-        )
+class ScalingPit(PitStream):
+    profile = SCALING
 
+
+def start_ray(cpus: int) -> None:
+    import ray  # noqa: PLC0415
+
+    ray.init(address="local", num_cpus=cpus, include_dashboard=False)
+
+
+def flagship() -> dict:
+    """Set-up (build, warm-up, oracle check) and one traced iteration of
+    perfbench's ``pit_stream``, on the running Ray session."""
+    with tempfile.TemporaryDirectory(prefix="bench_flagship_") as work:
+        ctx = Ctx(work=work, seed=SEED, cpus=NUM_CPUS, tracer=Tracer(True))
+        wl = PitStream()
+        wl.setup(ctx)
         t0 = time.time()
-        man = generate_events_parallel(
-            events_dir,
-            n_entities=prof["entities"],
-            seed=42,
-            median_events=prof["median_events"],
-            sigma=prof["sigma"],
-            dim_choices=prof["dims"],
-        )
-        generate_asof_queries(events_dir, queries_path, n_queries=prof["queries"], seed=43)
-        with open(marker, "w") as f:
-            json.dump({"gen_s": time.time() - t0, "n_rows": man["n_rows"]}, f)
-    if not os.path.exists(queries_path):
-        from ecg_feature_engineering_ray.sources.fixture import generate_asof_queries
-
-        generate_asof_queries(events_dir, queries_path, n_queries=prof["queries"], seed=43)
-    return events_dir, queries_path
-
-
-def sampen_count(target_s: float) -> tuple[int, float]:
-    """No-Ray calibration kernel: (iterations, seconds) of the HRV SampEn
-    kernel over a fixed 1200-sample series, run for ``target_s``."""
-    import numpy as np
-
-    from ecg_feature_engineering_ray.functions.entropy import sampen_hrv
-
-    x = np.random.default_rng(123).standard_normal(1200)
-    sampen_hrv(x)  # warm (allocator, code paths)
-    n, t0 = 0, time.time()
-    while time.time() - t0 < target_s:
-        sampen_hrv(x)
-        n += 1
-    return n, time.time() - t0
-
-
-def calib_sampen_per_s(target_s: float = 2.0) -> float:
-    """Single-core kernel rate (1/s), recorded in every bench JSON so numbers
-    from different host-load windows can be normalized before round-over-
-    round comparison (this VM drifts ±10-30% between identical runs)."""
-    n, secs = sampen_count(target_s)
-    return round(n / secs, 2)
-
-
-def calib_parallel(single_rate: float, workers: int = 8, target_s: float = 2.0) -> dict:
-    """Multi-core calibration: the same kernel in ``workers`` concurrent
-    no-Ray processes.  The single-core rate catches host-clock drift, but
-    NOT capacity loss — a contended/steal-heavy window can leave single-core
-    speed at 0.75× while the box's effective parallel capacity drops to
-    ~0.3× (observed 2026-08-18: 32-worker aggregate only 1.45× the 8-worker
-    aggregate, where round 3's window scaled near-linearly to 16+).  The
-    ``efficiency`` field (aggregate / workers×single) says how many of the
-    advertised cores this window actually delivers — read it before calling
-    any wall-clock delta a regression."""
-    import multiprocessing as mp
-
-    try:
-        with mp.get_context("spawn").Pool(workers) as p:
-            t0 = time.time()
-            counts = [n for n, _ in p.map(sampen_count, [target_s] * workers)]
-            wall = time.time() - t0
-        agg = sum(counts) / max(wall, 1e-9)
-        return {
-            "workers": workers,
-            "agg_sampen_per_s": round(agg, 1),
-            "efficiency": round(agg / (workers * single_rate), 3) if single_rate else None,
-        }
-    except Exception as e:  # calibration must never sink the bench
-        return {"workers": workers, "error": f"{type(e).__name__}: {e}"[:120]}
+        rows = wl.iteration(ctx)
+        wall = time.time() - t0
+        wl.check(ctx)
+    return {"rows": rows, "wall_s": wall,
+            "stages": {k: round(v, 4) for k, v in wl.traced[-1].items()}}
 
 
 def run_suite() -> dict:
-    import ray
-
-    prof = PROFILES[PROFILE]
-    ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False)
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    from ecg_feature_engineering_ray.pipelines.flagship import compute_bucket_plan, pit_features
-    from ecg_feature_engineering_ray.pipelines.queries import QUERIES
-    from perfbench.workloads import merge_figures, read_bucket_times, timed_buckets
-
-    events_dir, queries_path = fixture_dirs(prof)
-
-    # skew/balance stats: periodic job, precomputed outside the timed window
-    # and CACHED on disk — the scaling rounds re-enter this process 6 times
-    # over the same fixture, and the count passes are identical each time
-    # A profile may pin ``num_buckets`` outright (the scaling profile does:
-    # both arms must run the SAME plan over the SAME grid, so the two arms
-    # execute the same per-bucket work — measured 2026-08-19, while the
-    # engine still split hot entities by the grid: a 16-CPU arm at 16
-    # buckets/CPU merged 3.30 M rows vs the 4-CPU arm's 1.59 M, a +13.5 %
-    # busy-work asymmetry charged to the wide arm's efficiency).
-    # Production analog: the bucket plan comes from a periodic job and does
-    # not change when the cluster is resized.
-    num_buckets = prof.get("num_buckets") or max(prof["buckets_per_cpu"] * NUM_CPUS, 64)
-    plan_path = os.path.join(
-        os.path.dirname(events_dir),
-        f"plan_v{_PLAN_V}_b{num_buckets}_n{prof['sampen_max_n']}_q{prof['queries']}.json",
+    from ecg_feature_engineering_ray.pipelines.queries import (  # noqa: PLC0415
+        QUERIES,
+        refresh_kmeans_expected,
+        refresh_pq_expected,
     )
-    if os.path.exists(plan_path):
-        with open(plan_path) as f:
-            plan = json.load(f)
-        plan["plan"] = {k: int(v) for k, v in plan["plan"].items()}
-    else:
-        plan = compute_bucket_plan(events_dir, queries_path, num_buckets, prof["sampen_max_n"])
-        with open(plan_path + ".tmp", "w") as f:
-            json.dump(plan, f)
-        os.replace(plan_path + ".tmp", plan_path)
 
-    # warmup (default profile only): one untimed pipeline run so Ray worker
-    # processes are warm — a fresh session pays ~2-4 s of cold imports a
-    # steady-state service never sees.  The timed run still reads and
-    # decodes its own input.  The scaling profile skips this: both arms
-    # carry identical cold-start F, and its runs are minutes long anyway.
-    if prof["run_suite"]:
-        warm = pit_features(events_dir, queries_path, num_buckets=num_buckets,
-                            sampen_max_n=prof["sampen_max_n"], bucket_plan=plan)
-        warm.limit(1).count()
-        del warm  # release the warmup run's materialized blocks
-    else:
-        # scaling arms: CHEAP untimed warmup, identical in both arms — decode
-        # a 20k-row slice (worker spawn + imports + first fragments into page
-        # cache) and touch the merge-side modules in task workers.
-        # Steady-state services never pay cold imports; the microbenchmarked
-        # kernel ceiling this bench is compared against doesn't either.
-        from ecg_feature_engineering_ray.sources.readers import read_events
-        from ecg_feature_engineering_ray.stages.decode import decode_stage
-
-        def _warm_imports(batch):
-            from ecg_feature_engineering_ray.functions import entropy, spectral, stats  # noqa: F401,PLC0415
-            from ecg_feature_engineering_ray.pipelines import features  # noqa: F401,PLC0415
-            from ecg_feature_engineering_ray.stages import asof  # noqa: F401,PLC0415
-            return batch
-
-        w = decode_stage(read_events(events_dir).limit(20000),
-                         verify_roundtrip=False).select_columns(["image_id", "ts", "v"])
-        w.map_batches(_warm_imports, batch_format="pyarrow").count()
-        del w
-
-    # per-stage observability: perfbench's timed_buckets drops one small file
-    # per merge bucket into a run-scoped temporary directory (single node:
-    # workers share the local disk), stage_times records the decode wall at
-    # the materialize() barrier.  Overhead is one file write per bucket.
-    stage_times: dict = {}
-    with tempfile.TemporaryDirectory(prefix="efr_bench_stages_") as stage_dir:
-        t0 = time.time()
-        out = pit_features(
-            events_dir,
-            queries_path,
-            num_buckets=num_buckets,
-            sampen_max_n=prof["sampen_max_n"],
-            bucket_plan=plan,
-            instrument=timed_buckets(stage_dir),
-            stage_times=stage_times,
-        )
-        n_rows = out.count()
-        flagship_s = time.time() - t0
-        bucket_times = read_bucket_times(stage_dir)
-    rows_per_s = n_rows / flagship_s
-    decode_wall = stage_times.get("decode_wall_s", 0.0)
-    stages = {
-        "decode_wall_s": round(decode_wall, 3),  # read→decode tasks + materialize
-        "shuffle_merge_wall_s": round(flagship_s - decode_wall, 3),  # exchange + sorted merge
-        "merge_buckets": len(bucket_times),
-        **{k: round(v, 4) for k, v in merge_figures(bucket_times).items()},
-    }
-
-    times: dict[str, dict[str, float]] = {block: {} for block in SUITES}
-    if prof["run_suite"]:
-        # untimed: build/copy the k-means and PQ oracle parquets OUTSIDE the
-        # timed window (cached per sf_dir — the queries themselves then pay
-        # one file copy, so the suite walls measure the engine, not the oracle)
-        from ecg_feature_engineering_ray.pipelines.queries import (
-            refresh_kmeans_expected,
-            refresh_pq_expected,
-        )
-
+    start_ray(NUM_CPUS)
+    try:
+        fl = flagship()
+        # the k-means and PQ oracles are cached per sf_dir outside the timed
+        # walls, so the suite times the engine, not the oracle
         refresh_kmeans_expected(SF_DIR)
         refresh_pq_expected(SF_DIR)
+        times: dict[str, dict[str, float]] = {block: {} for block in SUITES}
         for block, names in SUITES.items():
             for name in names:
                 t0 = time.time()
                 res = QUERIES[name](SF_DIR)
-                # consume the stream fully without materializing to the driver
-                if hasattr(res, "count"):
+                if hasattr(res, "count"):  # consume the stream on the workers
                     res.count()
                 times[block][name] = round(time.time() - t0, 3)
-
-    total = round(sum(times["base"].values()) + flagship_s, 3)
-    result = {
+    finally:
+        host.stop_ray()
+    return {
         "metric": "as-of join + window-feature rows/sec (flagship PIT pipeline) + operator suite wall time",
-        "value": total,
+        "value": round(sum(times["base"].values()) + fl["wall_s"], 3),
         "unit": "sec",
         "queries": {**{n: t for block in times.values() for n, t in block.items()},
-                    "flagship_pit": round(flagship_s, 3)},
+                    "flagship_pit": round(fl["wall_s"], 3)},
         **{f"{block}_suite_s": round(sum(t.values()), 3)
            for block, t in times.items() if block != "base"},
         "sf": SF_DIR,
         "num_cpus": NUM_CPUS,
-        "profile": PROFILE,
-        "flagship_rows": n_rows,
-        "flagship_rows_per_s": round(rows_per_s, 1),
-        "stages": stages,
+        "profile": PitStream.name,
+        "flagship_rows": fl["rows"],
+        "flagship_rows_per_s": round(fl["rows"] / fl["wall_s"], 1),
+        "stages": fl["stages"],
     }
-    ray.shutdown()
-    return result
+
+
+# --------------------------------------------------------------------------
+# scaling pair
+
+
+def arm(cpus: int, work: str) -> dict:
+    """One arm, in its own process: ``pit_features`` over the parent's input
+    with the parent's plan on ``cpus`` CPUs, consumed."""
+    from ecg_feature_engineering_ray.pipelines.flagship import pit_features  # noqa: PLC0415
+
+    with open(os.path.join(work, "inputs.json")) as f:
+        fx = json.load(f)
+    calib = host.calib_sampen_per_s()  # before Ray starts
+    ticks = host.cpu_ticks()
+    start_ray(cpus)
+    try:
+        t0 = time.time()
+        ds = pit_features(fx["all_dir"], fx["queries"], num_buckets=SCALING.buckets,
+                          sampen_max_n=SCALING.sampen_cap, bucket_plan=fx["plan"])
+        tbl = pa.concat_tables(list(ds.iter_batches(batch_format="pyarrow", batch_size=None)),
+                               promote_options="default")
+        wall = time.time() - t0
+    finally:
+        host.stop_ray()
+    return {"cpus": cpus, "rows": tbl.num_rows, "wall_s": round(wall, 2),
+            "rows_per_s": round(tbl.num_rows / wall, 2), "digest": feature_digest(tbl),
+            "calib_sampen_per_s": round(calib, 1),
+            "steal": round(host.steal_share(ticks, host.cpu_ticks()), 4)}
+
+
+def run_arm(cpus: int, work: str) -> dict:
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--arm", str(cpus), work],
+                          capture_output=True, text=True, timeout=3600, cwd=ROOT)
+    if proc.returncode:
+        raise RuntimeError(f"{cpus}-CPU arm exited {proc.returncode}: {proc.stderr[-400:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def arm_order(i: int, lo: int, hi: int) -> tuple[int, int]:
+    """Round ``i``'s arm order: the wide arm first in even rounds."""
+    return (hi, lo) if i % 2 == 0 else (lo, hi)
+
+
+def score_round(arms: dict[int, dict], lo: int, hi: int) -> dict:
+    """A round's efficiency, hi-arm rows/s / (lo-arm rows/s · hi/lo).  Raises
+    when the arms' feature digests differ: then they did not do the same work."""
+    a, b = arms[lo], arms[hi]
+    if a["digest"] != b["digest"]:
+        raise RuntimeError(f"feature digests differ: {lo} CPUs {a['digest']}, "
+                           f"{hi} CPUs {b['digest']}")
+    return {"eff": round(b["rows_per_s"] / (a["rows_per_s"] * hi / lo), 3),
+            "order": list(arms), "arms": {str(c): arms[c] for c in (lo, hi)}}
+
+
+def summarize(rounds: list[dict], lo: int, hi: int) -> dict:
+    """The headline: the median efficiency over every round."""
+    return {
+        "metric": (f"scaling efficiency (flagship PIT rows/s, {lo}→{hi} CPUs, fresh processes, "
+                   f"same input and plan; median of {len(rounds)} rounds, arm order alternating)"),
+        "value": round(statistics.median(r["eff"] for r in rounds), 3),
+        "unit": "efficiency",
+        "per_round_efficiency": [r["eff"] for r in rounds],
+        "rows_per_s": {str(c): [r["arms"][str(c)]["rows_per_s"] for r in rounds]
+                       for c in (lo, hi)},
+        "rounds": rounds,
+    }
 
 
 def run_scaling() -> dict:
-    """Same job, same input, fresh processes, N and 4N CPUs → efficiency.
-
-    The pair defaults to n/4→n, sized to the host (see the module-level
-    _SC_LO/_SC_HI note): the raw ratio of any pair is capped by what the
-    host actually delivers at the WIDE arm's worker count, and kernel
-    microbenchmarks (no Ray at all) showed a 32-core VM withdrawing cores
-    at 16+ busy workers (median 0.778 of 16-worker capacity across
-    2026-08-19 probes; ~20-25% per-core degradation beyond ~24 busy
-    cores) — single-box host
-    artifacts, not engine properties (adding real nodes adds sockets and
-    memory channels).  Override with GRAFT_SCALING_CPUS="4,16" / "8,32"
-    to measure the wider pairs; BASELINE.md records all of them.
-    """
-    lo_cpus, hi_cpus = _SC_LO, _SC_HI
-    # 3 paired rounds (round-3 config, which recorded 0.885): with the
-    # round-5 96k-query arms a paired round is ~12 min, so 3 rounds keep the
-    # whole measurement inside ~40 min while the median still needs 2 good
-    # windows instead of 3-of-5
-    repeats = max(int(os.environ.get("GRAFT_SCALING_REPEATS", "3")), 1)
-    import statistics
-
-    import ray
-
-    ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False)
-    fixture_dirs(PROFILES["scaling"])  # pre-generate so neither run pays it
-    ray.shutdown()
-
-    def one(cpus: int) -> dict:
-        env = dict(
-            os.environ, RAY_GRAFT_CPUS=str(cpus), GRAFT_SF_DIR=SF_DIR,
-            GRAFT_BENCH_PROFILE="scaling",
-            # pin the pair in the arm env so the arm derives the SAME
-            # default query count as the parent that built the fixture
-            GRAFT_SCALING_CPUS=f"{lo_cpus},{hi_cpus}",
-        )
-        proc = subprocess.run(
-            [sys.executable, os.path.abspath(__file__)],
-            env=env, capture_output=True, text=True, timeout=3600,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        )
-        line = [l for l in proc.stdout.strip().splitlines() if l.startswith("{")][-1]
-        return json.loads(line)
-
-    # This VM's throughput drifts ±10-30% between identical runs (external
-    # host load).  Treat each round as a PAIRED measurement: both arms run
-    # back-to-back inside the same host-load window, so drift hits them
-    # together and their RATIO stays faithful to the engine; the headline is
-    # the median per-round efficiency over ``repeats`` rounds (arm order
-    # alternates to cancel any residual within-round trend).  Arm-wise
-    # best-of across rounds — the previous estimator — mixes windows: a fast
-    # window landing on the LO arm only deflates the ratio (r2 recorded
-    # rounds of 0.95 and 0.74 and reported 0.75).  Every raw run is still
-    # recorded below.
-    # Capacity gate: this VM's deliverable parallel capacity swings on a
-    # 5-10 min timescale (observed 2026-08-18: 16-worker no-Ray kernel
-    # efficiency 0.59-1.0 across a morning) — a paired round launched into
-    # a trough measures the HOST's core-withdrawal, not the engine, in
-    # either direction (deflated when the hi arm is starved, inflated when
-    # the lo arm is).  Before each round, probe the hi-arm worker count
-    # with the ~4 s no-Ray kernel aggregate; if the window can't deliver
-    # ``min_cap`` of the advertised cores, wait and re-probe, up to a
-    # TOTAL wait budget across the whole run (bounded worst case: after
-    # the budget is spent, rounds proceed unconditionally).  Probes are
-    # pre-registered (the gate never sees engine numbers, only the no-Ray
-    # kernel) and every probe is recorded in the JSON.
-    # 0.87 (round 5, was 0.78): raw efficiency is bounded above by the
-    # host's own kernel-scaling efficiency in the measurement window — a
-    # 0.78 window caps even a PERFECT engine below the 0.8 bar.  Gate at
-    # 0.87 so rounds launch only in windows where ≥0.8 raw is physically
-    # reachable (observed 2026-08-19: probes 0.857/0.965/0.857 paired with
-    # raw rounds 0.724/0.802/0.776 — the one ≥0.87 window held the one
-    # ≥0.8 round).  The wait budget still bounds the worst case; after it
-    # is spent rounds proceed unconditionally and the probe record shows it.
-    min_cap = float(os.environ.get("GRAFT_SCALING_MIN_CAP", "0.87"))
-    wait_budget_s = float(os.environ.get("GRAFT_SCALING_WAIT_BUDGET_S", "1500"))
-    probe_sleep_s = float(os.environ.get("GRAFT_SCALING_PROBE_SLEEP_S", "90"))
-    capacity_probes: list[dict] = []
-
-    def capacity_gate() -> bool:
-        """Wait (within budget) for a window whose kernel probe clears
-        ``min_cap``; returns True when the round launches after a passing
-        probe, False when it proceeds only because the budget ran out."""
-        nonlocal wait_budget_s
-        while True:
-            single = calib_sampen_per_s(target_s=1.0)
-            par = calib_parallel(single, workers=hi_cpus, target_s=2.0)
-            eff = par.get("efficiency")
-            capacity_probes.append({"single": single, "workers": hi_cpus,
-                                    "agg": par.get("agg_sampen_per_s"),
-                                    "efficiency": eff,
-                                    "waited_remaining_s": round(wait_budget_s, 1)})
-            if eff is None or eff >= min_cap:
-                return True
-            if wait_budget_s <= 0:
-                return False
-            sleep = min(probe_sleep_s, wait_budget_s)
-            wait_budget_s -= sleep
-            time.sleep(sleep)
-
-    # Taint-and-retry: each arm now brackets its run with a capacity
-    # calibration (calib_parallel before ray.init, calib_parallel_end after
-    # ray.shutdown).  A pre-launch probe certifies a ~4 s instant, but a
-    # paired round outlives the host window (observed 2026-08-19: a round
-    # launched on a 0.99 probe measured 0.81 in-arm and read raw 0.732) —
-    # so a round where EITHER arm's bracketed capacity dipped below
-    # ``taint_cap`` is marked tainted and replaced, up to ``max_extra``
-    # replacement rounds.  Both arms, not just the wide one: load on the
-    # wide arm deflates eff = hi/(4·lo), load on the narrow arm inflates it,
-    # and a one-sided rule would keep exactly the rounds that read high.
-    # Tainted rounds stay in the record; the headline median is over
-    # untainted rounds when at least one exists.
-    taint_cap = float(os.environ.get("GRAFT_SCALING_TAINT_CAP", str(round(max(min_cap - 0.07, 0.0), 3))))
-    max_extra = int(os.environ.get("GRAFT_SCALING_MAX_EXTRA_ROUNDS", "2"))
-
-    def _arm_caps(rec: dict) -> list[float]:
-        """Bracketed in-arm capacity efficiencies (start, end) of one arm."""
-        out = []
-        for k in ("calib_parallel", "calib_parallel_end"):
-            e = (rec.get(k) or {}).get("efficiency")
-            if e is not None:
-                out.append(e)
-        return out
-
-    rounds: list[dict] = []
-    runs: dict[int, list] = {lo_cpus: [], hi_cpus: []}
-    attempt = 0
-    while True:
-        good_n = sum(1 for r in rounds if not r.get("tainted"))
-        if good_n >= repeats or attempt >= repeats + max_extra:
-            break
-        gate_passed = capacity_gate()
-        order = (hi_cpus, lo_cpus) if attempt % 2 == 0 else (lo_cpus, hi_cpus)
-        attempt += 1
-        got = {}
-        for cpus in order:
-            got[cpus] = one(cpus)
-            runs[cpus].append(got[cpus])
-        lo = got[lo_cpus]["flagship_rows_per_s"]
-        hi = got[hi_cpus]["flagship_rows_per_s"]
-        hi_caps = _arm_caps(got[hi_cpus])
-        lo_caps = _arm_caps(got[lo_cpus])
-        rec = {
-            "eff": round(hi / (lo * (hi_cpus / lo_cpus)), 3),
-            "rows_per_s": {str(lo_cpus): lo, str(hi_cpus): hi},
-            "order": list(order),
-            "gate_passed": gate_passed,
-            "hi_arm_capacity": hi_caps,
-            "lo_arm_capacity": lo_caps,
-            "tainted": any(c < taint_cap for c in hi_caps + lo_caps),
-        }
-        # Capacity-normalized efficiency: each arm measures its OWN no-Ray
-        # kernel aggregate at its worker count (mean of the start/end
-        # brackets).  The paired design assumes host capacity is constant
-        # WITHIN a round, but this VM can lose cores BETWEEN the two arms —
-        # which hits the wide arm's rows/s while barely touching the narrow
-        # arm's, deflating the raw ratio for reasons that are not the
-        # engine (observed 2026-08-18: hi-arm kernel aggregate fell 30%
-        # across three rounds while lo arms were flat; raw per-round eff
-        # 1.01/0.65/0.61).  Normalizing by the arms' measured
-        # kernel-capacity ratio removes exactly that host asymmetry and
-        # NOTHING else: in a stable window the capacity ratio equals
-        # hi/lo CPUs and eff_capacity == eff.
-        def _mean_agg(rec_arm: dict) -> float | None:
-            vals = [(rec_arm.get(k) or {}).get("agg_sampen_per_s")
-                    for k in ("calib_parallel", "calib_parallel_end")]
-            vals = [v for v in vals if v]
-            return sum(vals) / len(vals) if vals else None
-
-        cp_lo = _mean_agg(got[lo_cpus])
-        cp_hi = _mean_agg(got[hi_cpus])
-        if cp_lo and cp_hi:
-            rec["calib_parallel_agg"] = {str(lo_cpus): round(cp_lo, 1), str(hi_cpus): round(cp_hi, 1)}
-            rec["eff_capacity"] = round((hi / lo) / (cp_hi / cp_lo), 3)
-        rounds.append(rec)
-    good = [r for r in rounds if not r.get("tainted")] or rounds
-    eff = statistics.median(r["eff"] for r in good)
-    # representative round = the one CLOSEST to the median (for even repeat
-    # counts the median is the mean of the two middle rounds and belongs to
-    # neither; picking the upper-middle would make rows_per_s contradict
-    # ``value`` for anyone recomputing hi/(lo·4) from the JSON)
-    mid = min(good, key=lambda r: abs(r["eff"] - eff))
-    return {
-        "metric": (
-            f"scaling efficiency (flagship PIT rows/s, {lo_cpus}→{hi_cpus} CPUs, fresh "
-            f"processes, same input; median of {repeats} paired same-window untainted "
-            f"rounds, per-arm bracketed kernel-capacity calibration recorded)"
-        ),
-        "value": round(eff, 3),
-        "unit": "efficiency",
-        "rows_per_s": mid["rows_per_s"],
-        "per_round_efficiency": [r["eff"] for r in rounds],
-        "per_round_eff_capacity": [r.get("eff_capacity") for r in rounds],
-        "per_round_gate_passed": [bool(r.get("gate_passed")) for r in rounds],
-        "per_round_tainted": [bool(r.get("tainted")) for r in rounds],
-        "per_round_hi_arm_capacity": [r.get("hi_arm_capacity") for r in rounds],
-        "per_round_lo_arm_capacity": [r.get("lo_arm_capacity") for r in rounds],
-        "taint_cap": taint_cap,
-        "value_capacity_normalized": (
-            round(statistics.median(v for v in (r.get("eff_capacity") for r in good) if v), 3)
-            if any(r.get("eff_capacity") for r in good) else None
-        ),
-        "all_runs_rows_per_s": {str(c): [r["flagship_rows_per_s"] for r in rs] for c, rs in runs.items()},
-        "all_runs_flagship_s": {str(c): [r["queries"]["flagship_pit"] for r in rs] for c, rs in runs.items()},
-        "all_runs_calib": {str(c): [r.get("calib_sampen_per_s") for r in rs] for c, rs in runs.items()},
-        "all_runs_calib_parallel": {
-            str(c): [(r.get("calib_parallel") or {}).get("agg_sampen_per_s") for r in rs]
-            for c, rs in runs.items()
-        },
-        "capacity_probes": capacity_probes,
-        "capacity_gate": {"min_cap": min_cap,
-                          "wait_budget_left_s": round(wait_budget_s, 1)},
-        # one-look summary of what the HOST delivered during the run: the
-        # probe kernel is pure numpy with zero coordination, so its 16-worker
-        # efficiency is an upper bound on ANY engine's raw ratio in the same
-        # window.  gate_met=False means every round ran in a window where the
-        # host itself could not scale past min_cap — read
-        # value_capacity_normalized (per-arm kernel calibration, measured
-        # inside each arm before ray.init) as the engine signal then.
-        "host_capacity_summary": {
-            "probe_efficiency_median": round(
-                statistics.median(p["efficiency"] for p in capacity_probes), 3
-            ) if capacity_probes else None,
-            "probe_efficiency_min": min((p["efficiency"] for p in capacity_probes), default=None),
-            "probe_efficiency_max": max((p["efficiency"] for p in capacity_probes), default=None),
-            "rounds_gate_passed": sum(1 for r in rounds if r.get("gate_passed")),
-            "rounds_tainted": sum(1 for r in rounds if r.get("tainted")),
-            # gate_met: every round the headline median draws on launched
-            # after a passing probe AND kept both arms' bracketed
-            # capacity above taint_cap for the whole round
-            "gate_met": all(r.get("gate_passed") and not r.get("tainted") for r in good),
-        },
-        "profile": "scaling",
-        "sf": SF_DIR,
-    }
+    lo, hi = LO_CPUS, HI_CPUS
+    with tempfile.TemporaryDirectory(prefix="bench_scaling_") as work:
+        start_ray(NUM_CPUS)
+        try:
+            ctx = Ctx(work=work, seed=SEED, cpus=NUM_CPUS, tracer=Tracer(False))
+            fx = ScalingPit().build(ctx, work)
+        finally:
+            host.stop_ray()
+        with open(os.path.join(work, "inputs.json"), "w") as f:
+            json.dump(fx, f)
+        rounds = []
+        for i in range(ROUNDS):
+            arms = {c: run_arm(c, work) for c in arm_order(i, lo, hi)}
+            rounds.append(score_round(arms, lo, hi))
+    return {**summarize(rounds, lo, hi), "plan_s": round(fx["plan_s"], 2)}
 
 
-def _emit(res: dict) -> None:
-    """Write the FULL result to ``bench_detail.json`` and print a COMPACT
-    headline as the final stdout line.
+# --------------------------------------------------------------------------
+# output
 
-    The round driver records only the last ~2000 chars of stdout —
-    BENCH_r04.json has ``parsed: null`` because the full JSON (capacity
-    probes, all-runs arrays, per-bucket stats) overflowed that window and
-    lost its own opening brace.  Everything bulky lives in the sidecar; the
-    printed line carries the headline metric, per-query seconds and the
-    scaling-efficiency summary, with a hard length guard."""
-    detail_path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "bench_detail.json")
-    try:
-        with open(detail_path, "w") as f:
-            json.dump(res, f, indent=1)
-    except OSError:
-        detail_path = None
+
+def compact_line(res: dict, detail: str | None) -> str:
+    """The headline as one JSON line of at most ``MAX_LINE`` characters: the
+    suite's keys, the scaling summary, and the path of the full result."""
     compact = {k: res[k] for k in (
         "metric", "value", "unit", "queries", "sf", "num_cpus", "profile",
-        "flagship_rows", "flagship_rows_per_s",
-        "scaling_efficiency", "scaling_efficiency_capacity_normalized",
-        "calib_sampen_per_s",
+        "flagship_rows", "flagship_rows_per_s", "calib_sampen_per_s",
     ) if k in res}
-    # scaling summary (both the in-suite block and the --scaling result)
     sc = res if res.get("unit") == "efficiency" else res.get("scaling")
     if isinstance(sc, dict) and "value" in sc:
         compact["scaling_efficiency"] = sc["value"]
-        compact["scaling_rows_per_s"] = sc.get("rows_per_s")
-        compact["scaling_per_round"] = sc.get("per_round_efficiency")
-        compact["scaling_efficiency_capacity_normalized"] = sc.get("value_capacity_normalized")
-        compact["scaling_gate_met"] = (sc.get("host_capacity_summary") or {}).get("gate_met")
+        compact["scaling_per_round"] = sc["per_round_efficiency"]
     elif isinstance(sc, dict) and "error" in sc:
         compact["scaling_error"] = sc["error"]
     if "queries" in compact:
         compact["queries"] = {k: round(v, 2) for k, v in compact["queries"].items()}
-    compact["detail"] = detail_path
+    compact["detail"] = detail
     line = json.dumps(compact, separators=(",", ":"))
-    if len(line) > 1900:  # never overflow the driver's tail window again
+    if len(line) > MAX_LINE:
         compact.pop("queries", None)
         compact["queries_in_detail"] = True
         line = json.dumps(compact, separators=(",", ":"))
-    print(line)
+    return line
 
 
-if __name__ == "__main__":
-    # host-speed calibration: no-Ray single-core kernel rate, recorded in
-    # EVERY bench JSON (suite, scaling driver, and each scaling arm) so
-    # numbers from different host-load windows can be normalized before
-    # round-over-round comparison — this VM drifts ±10-30% between
-    # identical runs.  Runs before ray.init; never inside a timed window.
-    calib = calib_sampen_per_s()
-    # scaling arms measure capacity at their OWN worker count so the paired
-    # rounds can normalize by each arm's actually-delivered cores; the
-    # default suite keeps 8 workers (stable mid-range probe)
-    calib_workers = NUM_CPUS if PROFILE == "scaling" else 8
-    calib_mc = calib_parallel(calib, workers=calib_workers)
-    if "--scaling" in sys.argv:
+def emit(res: dict) -> None:
+    detail = os.path.join(ROOT, "bench_detail.json")
+    try:
+        with open(detail, "w") as f:
+            json.dump(res, f, indent=1)
+    except OSError:
+        detail = None
+    print(compact_line(res, detail))
+
+
+def main(argv: list[str]) -> None:
+    if argv[:1] == ["--arm"]:
+        print(json.dumps(arm(int(argv[1]), argv[2])))
+        return
+    calib = round(host.calib_sampen_per_s(), 1)  # before Ray starts
+    if "--scaling" in argv:
         res = run_scaling()
-        res["calib_sampen_per_s"] = calib
-        res["calib_parallel"] = calib_mc
-        _emit(res)
     else:
         res = run_suite()
-        res["calib_sampen_per_s"] = calib
-        res["calib_parallel"] = calib_mc
-        # the north rule's two-cluster-size criterion, measured IN-RUN so the
-        # recorded bench JSON carries the efficiency number itself (two fresh
-        # processes at 8 and 32 CPUs over the same input).  Disable with
-        # GRAFT_BENCH_SCALING=0.  Scaling subprocesses run with the scaling
-        # profile, which never recurses here.
-        if PROFILE == "default" and os.environ.get("GRAFT_BENCH_SCALING", "1") != "0":
+        if os.environ.get("GRAFT_BENCH_SCALING", "1") != "0":
             try:
                 res["scaling"] = run_scaling()
                 res["scaling_efficiency"] = res["scaling"]["value"]
-                # top-level companions so the headline is readable without
-                # digging: the raw median is the pre-registered headline; in
-                # a window where the host itself cannot scale the no-Ray
-                # probe kernel past min_cap (gate_met False), the per-arm
-                # kernel-capacity-normalized median is the engine signal.
-                res["scaling_efficiency_capacity_normalized"] = res["scaling"].get(
-                    "value_capacity_normalized")
-                res["scaling_host_capacity"] = res["scaling"].get("host_capacity_summary")
-            except Exception as e:  # never lose the suite numbers to a scaling failure
+            except Exception as e:  # noqa: BLE001 — keep the suite's numbers
+                traceback.print_exc()
                 res["scaling"] = {"error": f"{type(e).__name__}: {e}"[:200]}
-        if PROFILE == "scaling":
-            # scaling-arm subprocess: stdout goes to run_scaling()'s parent
-            # (never the round driver), which reads calib_parallel and the
-            # full stages block — print everything on one line.
-            # A second capacity calibration AFTER the run brackets the arm:
-            # the parent normalizes by the mean of the two and taints any
-            # round where either arm lost capacity mid-flight (the failure
-            # mode a pre-launch probe cannot see — observed 2026-08-19:
-            # a round launched on a 0.99 probe measured 0.81 in-arm).
-            res["calib_parallel_end"] = calib_parallel(
-                calib_sampen_per_s(target_s=1.0), workers=calib_workers, target_s=2.0
-            )
-            print(json.dumps(res))
-        else:
-            _emit(res)
+    res["calib_sampen_per_s"] = calib
+    emit(res)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

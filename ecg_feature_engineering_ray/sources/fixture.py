@@ -165,65 +165,6 @@ def generate_events(
     return manifest
 
 
-def generate_events_parallel(
-    out_dir: str,
-    n_entities: int = 1000,
-    seed: int = 42,
-    hot_frac: float = 0.20,
-    tasks: int = 16,
-    median_events: int = 40,
-    sigma: float = 0.6,
-    dim_choices=(32, 64, 128),
-) -> dict:
-    """Ray-parallel fixture generation for bench-scale tables.
-
-    Entities are deterministic functions of (seed, image_id), so generation
-    parallelizes trivially: each task renders a slice of entities into its
-    own fragment.  Arrival order within a fragment is ts-sorted per slice
-    (cross-fragment interleaving supplies the out-of-order property).
-    """
-    import ray  # noqa: PLC0415
-    import ray.data  # noqa: PLC0415
-
-    os.makedirs(out_dir, exist_ok=True)
-    rng = np.random.default_rng(seed)
-    counts = np.maximum(
-        8, np.round(np.exp(rng.normal(np.log(median_events), sigma, n_entities)))
-    ).astype(int)
-    normal_total = counts[1:].sum()
-    counts[0] = max(8, int(hot_frac / (1 - hot_frac) * normal_total))
-    specs = [{"idx": k, "image_id": f"img{k:08d}", "n": int(counts[k])} for k in range(n_entities)]
-
-    max_rows_per_fragment = 8000  # keep fragments read-parallel even for the hot entity
-
-    def render(batch):
-        import pyarrow.parquet as _pq  # noqa: PLC0415
-
-        tables = [
-            generate_entity_rows(i, int(n), seed, dim_choices=dim_choices)
-            for i, n in zip(batch["image_id"], batch["n"])
-        ]
-        tbl = pa.concat_tables(tables)
-        frag_id = int(batch["idx"][0])
-        for j in range(0, max(tbl.num_rows, 1), max_rows_per_fragment):
-            part = tbl.slice(j, max_rows_per_fragment)
-            if part.num_rows:
-                _pq.write_table(
-                    part, os.path.join(out_dir, f"frag-{frag_id:05d}-{j // max_rows_per_fragment:03d}.parquet")
-                )
-        return {"rows": np.array([tbl.num_rows])}
-
-    ds = ray.data.from_items(specs).repartition(tasks)
-    total = sum(r["rows"] for r in ds.map_batches(render, batch_size=None).take_all())
-    return {
-        "n_entities": n_entities,
-        "n_rows": int(total),
-        "seed": seed,
-        "hot_entity": specs[0]["image_id"],
-        "fragments": sorted(os.listdir(out_dir)),
-    }
-
-
 def generate_asof_queries(events_dir: str, out_path: str, n_queries: int = 300, seed: int = 43) -> pa.Table:
     """Left side of the point-in-time join (FIXTURES.md F2).
 

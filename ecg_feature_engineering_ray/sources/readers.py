@@ -8,7 +8,8 @@ table is a fragmented columnar dataset; *column pruning happens at the read*
 never loads the image ``bytes`` column from storage.
 
 The event table is read as ONE task per fragment that streams the fragment
-in small record batches (:class:`FragmentStream`).  Ray's own parquet
+in small record batches, or in one batch for a projection without the
+binary image payload (:class:`FragmentStream`).  Ray's own parquet
 reader splits a fragment's output into more blocks whenever there are fewer
 fragments than its target parallelism, and a split read never fuses with
 the map after it; one unsplit task per fragment does, so decode runs inside
@@ -47,7 +48,7 @@ def list_fragments(path: str) -> list[str]:
     return sorted(glob.glob(os.path.join(path, "*.parquet")))
 
 
-def _stream_fragment(path: str, columns: list[str] | None):
+def _stream_fragment(path: str, columns: list[str] | None, batch_rows: int):
     # Arrow's jemalloc pool otherwise keeps each freed batch's pages for a
     # second, and a worker streaming MB-scale batches peaks ~90 MB higher
     # (decoding perfbench's 12,000-row pit_stream fixture on a 4-CPU host:
@@ -59,13 +60,19 @@ def _stream_fragment(path: str, columns: list[str] | None):
     # no pre-buffering: page-at-a-time reads, so a task never holds a whole
     # column chunk of image bytes
     f = pq.ParquetFile(path, pre_buffer=False, buffer_size=1 << 20)
-    for b in f.iter_batches(batch_size=FRAGMENT_BATCH_ROWS, columns=columns):
+    for b in f.iter_batches(batch_size=batch_rows, columns=columns):
         yield pa.Table.from_batches([b])
 
 
 class FragmentStream(Datasource):
     """One read task per parquet fragment, yielding ``FRAGMENT_BATCH_ROWS``-row
-    tables.
+    tables, or the whole fragment as one table when ``columns`` projects no
+    binary payload column: a key-only read (a bucket plan's counts) is a few
+    bytes per row, and a map fused after it then runs once per fragment, not
+    once per 256 rows.  A read of every column keeps the small batches: the
+    exchange after a whole-table read (the flagship's query side) makes one
+    output partition per input block, so its block count sets the number of
+    merge tasks.
 
     No in-memory size estimate is given, so Ray never splits a task's output
     and a map with ``batch_size=None`` after the read runs in the same task.
@@ -80,6 +87,8 @@ class FragmentStream(Datasource):
         if schema is not None and columns is not None:
             schema = pa.schema([schema.field(c) for c in columns])
         self._schema = schema
+        self._whole = columns is not None and schema is not None and not any(
+            pa.types.is_binary(f.type) or pa.types.is_large_binary(f.type) for f in schema)
 
     def estimate_inmemory_data_size(self) -> int | None:
         return None
@@ -87,7 +96,8 @@ class FragmentStream(Datasource):
     def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
         return [
             ReadTask(
-                functools.partial(_stream_fragment, p, self._columns),
+                functools.partial(_stream_fragment, p, self._columns,
+                                  max(n, 1) if self._whole else FRAGMENT_BATCH_ROWS),
                 BlockMetadata(num_rows=n, size_bytes=None, input_files=[p], exec_stats=None),
                 schema=self._schema,
             )

@@ -3,8 +3,42 @@
 import numpy as np
 import pyarrow as pa
 
-from ecg_feature_engineering_ray.sources.readers import read_events
+from ecg_feature_engineering_ray.sources.readers import (
+    FRAGMENT_BATCH_ROWS,
+    list_fragments,
+    read_events,
+    read_fragments,
+)
 from ecg_feature_engineering_ray.stages.decode import decode_stage
+
+
+def test_read_batches_follow_the_projection(fixture_events, tmp_path):
+    """A projection without the binary payload reads each fragment in one
+    batch, so a map fused after it (a bucket plan's key counts) runs once per
+    fragment.  A projection with ``bytes``, and a read of every column, keep
+    their small batches."""
+    import pyarrow.parquet as pq
+
+    events_dir, _ = fixture_events
+    rows = sorted(pq.read_metadata(p).num_rows for p in list_fragments(events_dir))
+    assert max(rows) > FRAGMENT_BATCH_ROWS
+
+    def batch_rows(path, columns):
+        sizes = read_fragments(path, columns).map_batches(
+            lambda t: pa.table({"n": [t.num_rows]}), batch_format="pyarrow", batch_size=None)
+        return sorted(sizes.to_pandas()["n"])
+
+    def streamed(n):
+        return sorted([FRAGMENT_BATCH_ROWS] * (n // FRAGMENT_BATCH_ROWS)
+                      + [n % FRAGMENT_BATCH_ROWS] * (n % FRAGMENT_BATCH_ROWS > 0))
+
+    assert batch_rows(events_dir, ["image_id"]) == rows
+    assert batch_rows(events_dir, ["image_id", "bytes"]) == sorted(
+        b for n in rows for b in streamed(n))
+    keys = str(tmp_path / "keys.parquet")  # no payload column at all
+    pq.write_table(pq.read_table(events_dir, columns=["image_id", "ts"]), keys)
+    assert batch_rows(keys, None) == streamed(sum(rows))
+    assert batch_rows(keys, ["image_id", "ts"]) == [sum(rows)]
 
 
 def test_decode_flags_phash_mismatch_plants(fixture_events):
