@@ -16,10 +16,17 @@ extraction flow (/root/reference/extract_HRV.py:24-80 and siblings): what was
 "loop records → compute per-record stats → append to DataFrame → to_csv"
 becomes one streaming co-partitioned pass (:func:`_pit_plan`) with explicit
 skew handling and resumable output.
+
+The staged event side carries a per-task output bound derived from the
+event fragments' parquet metadata, on its own Dataset's context
+(:func:`_tagged_events`), so a small object store still admits every
+read→decode task at once; the exchange and the merge keep the session's
+block size.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 
@@ -29,9 +36,9 @@ import pyarrow.compute as pc
 
 from ray.data import Dataset
 
-from ..sources.readers import list_fragments, read_events, read_fragments
+from ..sources.readers import fragment_block_bound, list_fragments, read_events, read_fragments
 from ..stages.asof import asof_bucket_fn
-from ..stages.decode import decode_stage
+from ..stages.decode import decode_stage, decode_then
 from ..stages.partition import (
     BUCKET_COL,
     SIDE_COL,
@@ -98,9 +105,24 @@ def _tagged_events(events_dir: str, tag) -> Dataset:
     Materialized: the tagged rows are ~400x smaller than the input (40 B/row
     vs KB-scale image bytes) and are exactly the row set the sort barrier
     must hold anyway, so staging them adds no asymptotic memory and gives the
-    decode and shuffle phases each clean scheduling."""
-    return decode_stage(read_events(events_dir), verify_roundtrip=False,
-                        then=tag).materialize()
+    decode and shuffle phases each clean scheduling.
+
+    Its own Dataset context carries an honest per-task output bound
+    (:func:`~..sources.readers.fragment_block_bound`).  Until one of its
+    tasks has produced output, Ray prices each task at
+    ``target_max_block_size`` (128 MiB by default) × 2 pending blocks, so a
+    small object store (768 MB on 4 CPUs) would admit one or two of these
+    tasks at a time, each emitting a few hundred KB.  The bound sits on this
+    side only: the union takes the query side's context, so the exchange and
+    the merge keep the session's block size (a smaller one would slice the
+    exchange's blocks and change the merge's task count), and the session's
+    ``DataContext`` is never written."""
+    ds = decode_stage(read_events(events_dir), verify_roundtrip=False, then=tag)
+    bound = fragment_block_bound(
+        events_dir, functools.partial(decode_then, then=tag, verify_roundtrip=False))
+    if bound is not None:
+        ds.context.target_max_block_size = bound
+    return ds.materialize()
 
 
 def _pit_plan(

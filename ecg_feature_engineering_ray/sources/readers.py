@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import functools
 import glob
+import math
 import os
+from typing import Callable
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -113,11 +115,70 @@ def read_fragments(path: str, columns: list[str] | None = None) -> ray.data.Data
                                     override_num_blocks=max(len(paths), 1))
 
 
+def _is_lance(path: str) -> bool:
+    return os.path.isdir(path) and os.path.exists(os.path.join(path, "_versions"))
+
+
 def read_events(path: str, columns: list[str] | None = None) -> ray.data.Dataset:
     """Read the event table as a streaming Dataset, pruning columns at the read."""
-    if HAVE_LANCE and os.path.isdir(path) and os.path.exists(os.path.join(path, "_versions")):
+    if HAVE_LANCE and _is_lance(path):
         return ray.data.read_lance(path, columns=columns)
     return read_fragments(path, columns)
+
+
+def _value_bytes(chunk: pq.ColumnChunkMetaData) -> float:
+    """Bytes of one value of a variable-width column chunk: the longer of its
+    min/max statistics (exact for a fixed-format key such as ``image_id``),
+    else its plain-encoded bytes per value."""
+    st = chunk.statistics
+    if st is not None and st.has_min_max:
+        return max(len(v.encode() if isinstance(v, str) else v) for v in (st.min, st.max))
+    return chunk.total_uncompressed_size / max(chunk.num_values, 1)
+
+
+def _row_bytes(rg: pq.RowGroupMetaData, schema: pa.Schema) -> float:
+    """Arrow bytes of one ``schema`` row drawn from row group ``rg``: each
+    field's validity bit plus its fixed width, or, for a variable-width
+    field, its offset plus its value bytes in ``rg`` (none when ``rg`` lacks
+    the column: the field is then a typed null)."""
+    chunks = {rg.column(j).path_in_schema: rg.column(j) for j in range(rg.num_columns)}
+    total = 0.0
+    for f in schema:
+        try:
+            total += 1 / 8 + f.type.bit_width / 8
+        except ValueError:  # variable width
+            large = pa.types.is_large_binary(f.type) or pa.types.is_large_string(f.type)
+            total += 1 / 8 + (8 if large else 4)
+            if f.name in chunks:
+                total += _value_bytes(chunks[f.name])
+    return total
+
+
+def fragment_block_bound(path: str, fn: Callable[[pa.Table], pa.Table]) -> int | None:
+    """A bound on one read→``fn`` task's output block over :func:`read_fragments`
+    of ``path`` (one task per fragment), in bytes, from the fragments'
+    parquet metadata alone.  It is the larger of
+
+    - the largest row group's bytes per row × ``FRAGMENT_BATCH_ROWS``, so
+      Ray's output buffer, which slices a block of 1.5× its bound or more,
+      never splits a streamed read batch;
+    - the largest fragment's rows × the Arrow bytes of one row of ``fn``'s
+      output (typed by ``fn`` over a zero-row batch), so a task's output
+      stays one block.
+
+    ``None`` (keep the session's value) for a Lance dataset and for a path
+    with no rows."""
+    metas = [] if _is_lance(path) else [pq.read_metadata(p) for p in list_fragments(path)]
+    if not metas:
+        return None
+    out_schema = fn(metas[0].schema.to_arrow_schema().empty_table()).schema
+    per_row = per_task = 0.0
+    for meta in metas:
+        rgs = [rg for rg in map(meta.row_group, range(meta.num_row_groups)) if rg.num_rows]
+        per_row = max([per_row, *(rg.total_byte_size / rg.num_rows for rg in rgs)])
+        per_task = max(per_task, sum(rg.num_rows * _row_bytes(rg, out_schema) for rg in rgs))
+    bound = max(per_row * FRAGMENT_BATCH_ROWS, per_task)
+    return math.ceil(bound) if bound else None
 
 
 def read_table(sf_dir: str, name: str, columns: list[str] | None = None, **kwargs) -> ray.data.Dataset:

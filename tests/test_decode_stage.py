@@ -5,6 +5,7 @@ import pyarrow as pa
 
 from ecg_feature_engineering_ray.sources.readers import (
     FRAGMENT_BATCH_ROWS,
+    fragment_block_bound,
     list_fragments,
     read_events,
     read_fragments,
@@ -84,3 +85,70 @@ def test_caption_survives_decode_exactly(fixture_events):
     b = out[["image_id", "ts", "caption"]].sort_values(key).reset_index(drop=True)
     assert len(a) == len(b)
     assert (a.caption.values == b.caption.values).all()
+
+
+def _decode_tag(fixture_queries):
+    """The flagship's fused read→decode→tag function for the event side."""
+    import functools
+
+    import pyarrow.parquet as pq
+
+    from ecg_feature_engineering_ray.pipelines.flagship import _project_events, _project_queries
+    from ecg_feature_engineering_ray.stages.decode import decode_then
+    from ecg_feature_engineering_ray.stages.partition import tag_side
+
+    other = _project_queries(pq.read_table(fixture_queries).slice(0, 0)).schema
+    tag = functools.partial(tag_side, project=_project_events, other=other, flag=0)
+    return functools.partial(decode_then, then=tag, verify_roundtrip=False)
+
+
+def test_block_bound_without_rows_keeps_the_session_value(fixture_events, fixture_queries,
+                                                           tmp_path):
+    """No rows to bound, or a Lance dataset, gives ``None``; a zero-row
+    fragment beside a real one adds nothing."""
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    fn = _decode_tag(fixture_queries)
+    first = list_fragments(fixture_events[0])[0]
+    (tmp_path / "empty").mkdir()
+    assert fragment_block_bound(str(tmp_path / "empty"), fn) is None
+
+    one, zero = tmp_path / "one", tmp_path / "zero"
+    one.mkdir()
+    zero.mkdir()
+    shutil.copy(first, one / "frag-00000.parquet")
+    pq.write_table(pq.read_table(first).slice(0, 0), str(zero / "frag-00000.parquet"))
+    assert fragment_block_bound(str(zero), fn) is None
+    bound = fragment_block_bound(str(one), fn)
+    assert bound is not None
+    shutil.copy(zero / "frag-00000.parquet", one / "frag-00001.parquet")
+    assert fragment_block_bound(str(one), fn) == bound
+
+    (one / "_versions").mkdir()  # a Lance dataset's layout: Ray's own reader
+    assert fragment_block_bound(str(one), fn) is None
+
+
+def test_block_bound_at_the_scaling_shape(fixture_events, fixture_queries, tmp_path):
+    """At ``bench.py``'s scaling shape (60,000 32-px rows per fragment) the
+    task's tagged output outweighs a 256-row read batch, so it sets the
+    bound, which holds the tagged rows of the whole fragment (one block) and
+    is not padded beyond them."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    fn = _decode_tag(fixture_queries)
+    small = pq.read_table(fixture_events[0])
+    small = small.filter(pc.equal(small.column("w"), 32))
+    rows = 60_000
+    frag = pa.concat_tables([small] * -(-rows // small.num_rows)).slice(0, rows)
+    path = str(tmp_path / "frag-00000.parquet")
+    # the payload column plain-encoded, as unique images are in a real fragment
+    pq.write_table(frag, path, use_dictionary=["image_id", "fmt", "caption"])
+
+    bound = fragment_block_bound(str(tmp_path), fn)
+    meta = pq.read_metadata(path).row_group(0)
+    assert bound > meta.total_byte_size / meta.num_rows * FRAGMENT_BATCH_ROWS
+    tagged_per_row = fn(small).nbytes / small.num_rows
+    assert rows * tagged_per_row <= bound < 1.1 * rows * tagged_per_row

@@ -370,14 +370,17 @@ def test_commit_partition_idempotent_retry(tmp_path):
         )
 
 
-def test_decode_is_one_fused_task_per_fragment(fixture_events, fixture_queries):
+def test_decode_is_one_fused_task_per_fragment(fixture_events, fixture_queries, tmp_path):
     """The flagship's staged event side is one fused read→decode→tag
     operator holding at most one block per fragment (a split read leaves
     many more), and holds exactly the tagged decode of every event row, one
-    tagged row per decoded event."""
+    tagged row per decoded event.  Under its derived output bound, fragments
+    of the largest (128-px) rows still reach ``tag`` in whole 256-row read
+    batches: Ray slices no batch."""
     import functools
 
     import pyarrow as pa
+    import pyarrow.compute as pc
     import pyarrow.parquet as pq
     import ray
 
@@ -386,7 +389,7 @@ def test_decode_is_one_fused_task_per_fragment(fixture_events, fixture_queries):
         _project_queries,
         _tagged_events,
     )
-    from ecg_feature_engineering_ray.sources.readers import list_fragments
+    from ecg_feature_engineering_ray.sources.readers import FRAGMENT_BATCH_ROWS, list_fragments
     from ecg_feature_engineering_ray.stages.decode import decode_batch
     from ecg_feature_engineering_ray.stages.partition import tag_side
 
@@ -401,6 +404,113 @@ def test_decode_is_one_fused_task_per_fragment(fixture_events, fixture_queries):
     decoded = decode_batch(pq.read_table(events_dir), verify_roundtrip=False)
     assert got.num_rows == decoded.num_rows
     assert got.equals(tag_right(decoded).sort_by(order))
+
+    big_dir, calls = tmp_path / "big", tmp_path / "calls"
+    big_dir.mkdir()
+    calls.mkdir()
+    big = pq.read_table(events_dir)
+    big = big.filter(pc.equal(big.column("w"), 128))
+    half = big.num_rows // 2
+    parts = [big.slice(0, half), big.slice(half)]
+    assert min(t.num_rows for t in parts) > FRAGMENT_BATCH_ROWS
+    for k, part in enumerate(parts):
+        pq.write_table(part, str(big_dir / f"frag-{k:05d}.parquet"))
+
+    def counted(batch: pa.Table) -> pa.Table:  # one line per call, per task
+        if batch.num_rows:
+            with open(calls / ray.get_runtime_context().get_task_id(), "a") as fh:
+                fh.write(f"{batch.num_rows}\n")
+        return tag_right(batch)
+
+    ds = _tagged_events(str(big_dir), counted)
+    assert ds.num_blocks() <= len(parts)
+    got = sorted([int(n) for n in f.read_text().split()] for f in calls.iterdir())
+
+    def streamed(n):
+        return ([FRAGMENT_BATCH_ROWS] * (n // FRAGMENT_BATCH_ROWS)
+                + [n % FRAGMENT_BATCH_ROWS] * (n % FRAGMENT_BATCH_ROWS > 0))
+
+    assert got == sorted(streamed(t.num_rows) for t in parts)  # ⌈rows/256⌉ calls each
+
+
+def test_decode_tasks_start_together(fixture_events, fixture_queries, tmp_path):
+    """Every read→decode task of the staged event side starts at once under
+    a small object store (perfbench's 768 MB).  Until an operator has
+    produced output, Ray prices each of its tasks at ``target_max_block_size``
+    × 2 pending blocks; at the session's 128 MiB that admits one task at a
+    time here, and the second starts only when the first, which sleeps
+    ``sleep`` s in its first ``tag`` call, is done."""
+    import subprocess
+    import sys
+
+    import pyarrow.parquet as pq
+
+    cpus, sleep = 2, 4.0
+    events, marks = tmp_path / "ev", tmp_path / "marks"
+    events.mkdir()
+    marks.mkdir()
+    tbl = pq.read_table(fixture_events[0])
+    cut = tbl.num_rows // cpus
+    for k in range(cpus):  # one fragment, so one task, per CPU
+        part = tbl.slice(k * cut, cut if k < cpus - 1 else None)
+        pq.write_table(part, str(events / f"frag-{k:05d}.parquet"))
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = (
+        "import os, time, ray, pyarrow.parquet as pq\n"
+        f"ray.init(address='local', num_cpus={cpus}, object_store_memory=768 * 1024**2,\n"
+        "         include_dashboard=False)\n"
+        "from ecg_feature_engineering_ray.pipelines.flagship import (\n"
+        "    _project_events, _project_queries, _tagged_events)\n"
+        "from ecg_feature_engineering_ray.stages.partition import tag_side\n"
+        f"other = _project_queries(pq.read_table({fixture_queries!r}).slice(0, 0)).schema\n"
+        "def tag(batch):  # the task's first call records its start, then sleeps\n"
+        "    if batch.num_rows:\n"
+        f"        mark = os.path.join({str(marks)!r}, ray.get_runtime_context().get_task_id())\n"
+        "        if not os.path.exists(mark):\n"
+        "            with open(mark, 'w') as fh:\n"
+        "                fh.write(repr(time.time()))\n"
+        f"            time.sleep({sleep})\n"
+        "    return tag_side(batch, project=_project_events, other=other, flag=0)\n"
+        f"_tagged_events({str(events)!r}, tag)\n"
+        "ray.shutdown()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=180, cwd=repo, env=dict(os.environ, RAY_ADDRESS="local"))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    starts = [float(f.read_text()) for f in marks.iterdir()]
+    assert len(starts) == cpus
+    assert max(starts) - min(starts) < sleep / 2, starts
+
+
+def test_block_bound_stays_on_the_event_side(fixture_events, fixture_queries, monkeypatch):
+    """``pit_features`` puts the derived output bound on the staged event
+    Dataset's own context: the session's ``DataContext`` is not written, and
+    the returned Dataset (the exchange and the merge, on the query side's
+    context) keeps the session's block size."""
+    import functools
+
+    from ray.data import DataContext
+
+    from ecg_feature_engineering_ray.pipelines import flagship
+    from ecg_feature_engineering_ray.sources.readers import fragment_block_bound
+    from ecg_feature_engineering_ray.stages.decode import decode_then
+
+    events_dir, _ = fixture_events
+    session = DataContext.get_current().target_max_block_size
+    staged, real = [], flagship._tagged_events
+
+    def spy(events_dir, tag):
+        staged.append((tag, real(events_dir, tag)))
+        return staged[-1][1]
+
+    monkeypatch.setattr(flagship, "_tagged_events", spy)
+    out = flagship.pit_features(events_dir, fixture_queries, num_buckets=8)
+    assert DataContext.get_current().target_max_block_size == session
+    assert out.context.target_max_block_size == session
+    [(tag, ds)] = staged
+    bound = fragment_block_bound(
+        events_dir, functools.partial(decode_then, then=tag, verify_roundtrip=False))
+    assert ds.context.target_max_block_size == bound < session
 
 
 def test_pit_features_on_one_cpu(engine_result, fixture_events, fixture_queries, tmp_path):
