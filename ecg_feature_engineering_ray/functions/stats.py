@@ -58,6 +58,38 @@ def percentiles(x: np.ndarray, qs) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# nested-prefix aggregates (the as-of merge and the PIT feature matrix)
+# ---------------------------------------------------------------------------
+
+
+def prefix_agg(x: np.ndarray, pos, fn: str) -> np.ndarray:
+    """``fn`` of every prefix ``x[..., :p]`` for ``p`` in ``pos`` (any shape,
+    0 ≤ p ≤ n), from one cumulative pass along ``x``'s last axis; the result
+    has shape ``x.shape[:-1] + pos.shape``.
+
+    ``fn`` is "sum" or "mean" (a float64 running sum, so it can differ from
+    numpy's pairwise ``x[:p].sum()`` in the last bits; an empty prefix sums
+    to 0 and has a NaN mean) or "min" or "max" (exact, in ``x``'s dtype; an
+    empty prefix's value is undefined and the caller masks it).
+    """
+    pos = np.asarray(pos, dtype=np.int64)
+    if fn in ("sum", "mean"):
+        cs = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+        np.cumsum(x, axis=-1, dtype=np.float64, out=cs[..., 1:])
+        res = cs[..., pos]
+        if fn == "mean":
+            with np.errstate(invalid="ignore", divide="ignore"):
+                res = np.where(pos > 0, res / np.maximum(pos, 1), np.nan)
+        return res
+    if fn not in ("min", "max"):
+        raise ValueError(f"unsupported prefix fn {fn!r}")
+    if x.shape[-1] == 0:
+        return np.zeros(x.shape[:-1] + pos.shape, dtype=x.dtype)
+    acc = (np.minimum if fn == "min" else np.maximum).accumulate(x, axis=-1)
+    return acc[..., np.maximum(pos - 1, 0)]
+
+
+# ---------------------------------------------------------------------------
 # scan-style counters (reference LONG_features.py:17-29,107-119,215-241)
 # ---------------------------------------------------------------------------
 
@@ -70,13 +102,9 @@ def zero_crossings(x: np.ndarray, threshold: float = 0.0) -> int:
     if x.size < 2:
         return 0
     s = np.sign(x - threshold)
-    # zeros adopt the previous nonzero sign (a zero is not its own crossing)
-    nz = s != 0
-    if not nz.any():
-        return 0
-    idx = np.where(nz, np.arange(x.size), 0)
-    np.maximum.accumulate(idx, out=idx)
-    s = s[idx]
+    # zeros adopt the previous nonzero sign (a zero is not its own crossing,
+    # a leading zero has no sign to change from): only nonzero signs count
+    s = s[s != 0]
     return int(np.count_nonzero(s[1:] != s[:-1]))
 
 

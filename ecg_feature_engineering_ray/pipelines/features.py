@@ -6,9 +6,18 @@ as {"ts": µs int array, "v": value array, ...} and the prefix length ``p`` of
 each of its as-of queries (the events with ts ≤ as_of are ``events[:p]``),
 and emits one fixed-length float64 row per query, named by
 ``PIT_FEATURE_NAMES``.  The two SampEn columns come from one pass over the
-entity's template pairs (:func:`~..functions.entropy.sampen_hrv_prefixes`);
-the other columns are O(p) numpy per query.  ``pit_feature_vector(prefix)``
-is its one-row case.  The series roles mirror the reference:
+entity's template pairs (:func:`~..functions.entropy.sampen_hrv_prefixes`).
+The others are read off prefix arrays built in one O(n) pass
+(:func:`~..functions.stats.prefix_agg`): running counts (session breaks,
+|Δu| ≥ 50 ms, turns of the step sign), running extrema, the last break and
+running power sums (sdnn, rmssd); two heaps give the medians, and 2-D
+blocks of queries give the value channel's zero crossings and central
+moments about each prefix's mean.  The only per-query numpy calls are the
+two prefix means (numpy's own, the centres).  Counts, extrema, medians,
+zero crossings and both means are exact; sdnn, rmssd, v_std, v_skew and
+v_kurt sum in another order than numpy and can differ from a per-prefix
+numpy call in the last bits.  ``pit_feature_vector(prefix)`` is its
+one-row case.  The series roles mirror the reference:
 
 - ``u = Δts`` in ms ≙ RR intervals → HRV block (sdnn, max/min/mean RR,
   density, pNN50, RMSSD, SampEn ×2 — /root/reference/HRV_features.py:92-153)
@@ -24,21 +33,17 @@ independently; engine output must be np.allclose per (entity, as_of_ts).
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from ..functions.entropy import sampen_hrv_prefixes
-from ..functions.stats import (
-    kurtosis,
-    pnn_fraction,
-    rmssd,
-    skewness,
-    zero_crossings,
-    zigzag,
-)
+from ..functions.stats import prefix_agg, zero_crossings
 
 SESSION_GAP_US = 30_000_000
 PNN_THRESH_MS = 50.0
 SAMPEN_MAX_N = 400  # O(n²) cap — part of the spec, applied in oracle too
+ZC_BLOCK = 1 << 16  # elements in one 2-D value-channel block: bounds its temporaries
 
 PIT_FEATURE_NAMES = [
     # HRV block over u = Δts ms (9 ≙ HRV_features.py feature set)
@@ -92,48 +97,172 @@ def pit_feature_vector(prefix: dict[str, np.ndarray], sampen_max_n: int = SAMPEN
 
 
 def pit_feature_matrix(events: dict[str, np.ndarray], pos, sampen_max_n: int = SAMPEN_MAX_N) -> np.ndarray:
-    """``(len(pos), len(PIT_FEATURE_NAMES))`` rows, row q over ``events[:pos[q]]``."""
-    ts_all = np.asarray(events["ts"], dtype=np.int64)
-    v_all = np.asarray(events["v"], dtype=np.float64)
+    """``(len(pos), len(PIT_FEATURE_NAMES))`` rows, row q over ``events[:pos[q]]``.
+
+    One pass over the entity answers every query: the columns are read off
+    prefix arrays at the distinct prefix lengths (see the module docstring);
+    per query there are the two prefix means and one read of the median
+    heaps, and the value channel's row in a 2-D block.
+    """
+    ts = np.asarray(events["ts"], dtype=np.int64)
+    v = np.asarray(events["v"], dtype=np.float64)
     pos = np.asarray(pos, dtype=np.int64).reshape(-1)
     out = np.full((pos.size, len(PIT_FEATURE_NAMES)), np.nan)
     out[:, 0] = pos
-    u_all = np.diff(ts_all).astype(np.float64) / 1000.0  # Δts in ms ≙ RR intervals
+    u = np.diff(ts).astype(np.float64) / 1000.0  # Δts in ms ≙ RR intervals
     has_u = pos >= 2
     if has_u.any():
-        out[has_u, 8:10] = sampen_hrv_prefixes(u_all, pos[has_u] - 1, max_n=sampen_max_n)
+        out[has_u, 8:10] = sampen_hrv_prefixes(u, pos[has_u] - 1, max_n=sampen_max_n)
 
-    for row, n in zip(out, pos):
-        if n == 0:
-            continue
-        ts, v = ts_all[:n], v_all[:n]
-        if n >= 2:
-            u = u_all[: n - 1]
-            du = np.diff(u)
-            row[1] = u.std()                                   # sdnn (population, ≙ np.std)
-            row[2] = u.max()
-            row[3] = u.min()
-            row[4] = u.mean()
-            span_ms = (ts[-1] - ts[0]) / 1000.0
-            row[5] = u.size / span_ms if span_ms > 0 else np.nan   # event density ≙ Rdensity
-            row[6] = pnn_fraction(du, PNN_THRESH_MS)           # pNN50 analog
-            row[7] = rmssd(du)
-
-        row[10] = v.mean()
-        row[11] = v.std()
-        row[12] = v.min()
-        row[13] = v.max()
-        row[14] = np.median(v)
-        row[15] = skewness(v)
-        row[16] = kurtosis(v)
-        row[17] = zero_crossings(v - v.mean())
-        row[18] = zigzag(v)
-        row[19] = v[-1]
-
-        brk = np.diff(ts) > SESSION_GAP_US
-        n_sessions = 1 + int(brk.sum())
-        row[20] = n_sessions
-        row[21] = n / n_sessions
-        last_start = int(np.flatnonzero(brk)[-1] + 1) if brk.any() else 0
-        row[22] = n - last_start
+    seen = pos > 0
+    p, inv = np.unique(pos[seen], return_inverse=True)
+    if p.size == 0:
+        return out
+    rows = np.full((p.size, len(PIT_FEATURE_NAMES)), np.nan)
+    _hrv_columns(rows, ts, u, p)
+    _value_columns(rows, v, p)
+    _session_columns(rows, ts, p)
+    cols = [c for c in range(1, len(PIT_FEATURE_NAMES)) if c not in (8, 9)]
+    out[np.ix_(np.flatnonzero(seen), cols)] = rows[inv.reshape(-1)][:, cols]
     return out
+
+
+def _second_moment(x: np.ndarray, n: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """The second central moment of every prefix ``x[:n]`` (n ≥ 1) about its
+    ``mean`` (numpy's, per prefix: ``np.std`` centres on that rounded mean,
+    which sets the value of a constant prefix), from running sums of
+    (x − x[0])^k, k = 1, 2, expanded about a = mean − x[0].  x[0] lies in
+    every prefix, so |x − x[0]| is at most the prefix's range and no offset
+    shared by the values cancels in the expansion."""
+    d = x[: n.max()] - x[0]
+    s1, s2 = prefix_agg(np.stack([d, d * d]), n, "sum") / n
+    a = mean - x[0]
+    return np.maximum(s2 - 2 * a * s1 + a * a, 0.0)
+
+
+def _hrv_columns(rows: np.ndarray, ts: np.ndarray, u: np.ndarray, p: np.ndarray) -> None:
+    """sdnn … rmssd over the intervals u[:p − 1] of the rows with p ≥ 2."""
+    k = p >= 2
+    if not k.any():
+        return
+    L = p[k] - 1
+    # numpy's mean, bit for bit: intervals are decimal ms, so a mean often
+    # sits on a rounding tie that another summation order would flip
+    mean = np.array([u[:m].mean() for m in L.tolist()])
+    span_ms = (ts[L] - ts[0]) / 1000.0
+    du = np.diff(u)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rows[k, 1] = np.sqrt(_second_moment(u, L, mean))
+        rows[k, 2] = prefix_agg(u, L, "max")
+        rows[k, 3] = prefix_agg(u, L, "min")
+        rows[k, 4] = mean
+        rows[k, 5] = np.where(span_ms > 0, L / span_ms, np.nan)
+        rows[k, 6] = np.where(L >= 2, prefix_agg(np.abs(du) >= PNN_THRESH_MS, L - 1, "sum")
+                              / np.maximum(L - 1, 1), np.nan)
+        rows[k, 7] = np.sqrt(prefix_agg(du * du, L - 1, "mean"))
+
+
+def _value_columns(rows: np.ndarray, v: np.ndarray, p: np.ndarray) -> None:
+    """v_mean … v_last over v[:p]."""
+    mean = np.array([v[:m].mean() for m in p.tolist()])  # numpy's, bit for bit: the centre
+    zc, m2, m3, m4 = _centred_block_stats(v, p, mean)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rows[:, 10] = mean
+        rows[:, 11] = np.sqrt(m2)
+        rows[:, 15] = np.where(m2 == 0, 0.0, m3 / m2 ** 1.5)
+        rows[:, 16] = np.where(m2 == 0, -3.0, m4 / m2 ** 2 - 3.0)
+    rows[:, 12] = prefix_agg(v, p, "min")
+    rows[:, 13] = prefix_agg(v, p, "max")
+    rows[:, 14] = _prefix_medians(v, p)
+    rows[:, 17] = zc
+    d = np.sign(np.diff(v[: p[-1]]))
+    nz = np.flatnonzero(d != 0)
+    turn = np.zeros(d.size)  # a nonzero step whose sign differs from the previous nonzero step
+    turn[nz[1:]] = d[nz[1:]] != d[nz[:-1]]
+    rows[:, 18] = prefix_agg(turn, p - 1, "sum")
+    rows[:, 19] = v[p - 1]
+
+
+def _session_columns(rows: np.ndarray, ts: np.ndarray, p: np.ndarray) -> None:
+    """n_sessions, mean_session_len, last_session_len under the 30 s gap rule."""
+    brk = np.diff(ts[: p[-1]]) > SESSION_GAP_US
+    n_sessions = 1 + prefix_agg(brk, p - 1, "sum")
+    starts = np.concatenate(([0], np.where(brk, np.arange(1, brk.size + 1), 0)))
+    rows[:, 20] = n_sessions
+    rows[:, 21] = p / n_sessions
+    rows[:, 22] = p - prefix_agg(starts, p, "max")
+
+
+def _prefix_medians(v: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``np.median(v[:m])`` for each m in ``p`` (sorted, distinct, ≥ 1), from
+    one insertion pass over two heaps: ``lo`` holds the lower half negated
+    (a max-heap) and ``hi`` the upper half, so the median is lo's top, or
+    (a + b) / 2 of both tops for an even length, as numpy computes it.  A
+    NaN makes every prefix that holds it NaN, as in numpy.  With fewer than
+    one prefix per 16 events, ``np.median`` per prefix is cheaper (a
+    one-row :func:`pit_feature_vector` call)."""
+    if 16 * p.size < p[-1]:
+        # few prefixes: numpy's per-prefix partition beats a Python pass over the events
+        return np.array([np.median(v[:m]) for m in p.tolist()])
+    out = np.full(p.size, np.nan)
+    stop = int(p[-1])
+    nan = np.flatnonzero(np.isnan(v[:stop]))
+    if nan.size:
+        stop = int(nan[0])
+    want = p.tolist()
+    lo: list[float] = []
+    hi: list[float] = []
+    j = 0
+    for i, x in enumerate(v[:stop].tolist(), 1):
+        if len(lo) == len(hi):
+            heapq.heappush(lo, -heapq.heappushpop(hi, x))
+        else:
+            heapq.heappush(hi, -heapq.heappushpop(lo, -x))
+        if i == want[j]:
+            out[j] = -lo[0] if i % 2 else (hi[0] - lo[0]) / 2
+            j += 1
+    return out
+
+
+def _centred_block_stats(v: np.ndarray, p: np.ndarray, mean: np.ndarray):
+    """``(zero crossings, m2, m3, m4)`` of each ``v[:m] − c`` for (m, c) in
+    (``p``, ``mean``), ``p`` sorted: ``zero_crossings(v[:m] − c)`` and the
+    central moments ``np.mean((v[:m] − c) ** k)``.
+
+    The rows go through 2-D blocks of at most ``ZC_BLOCK`` elements (rows ×
+    the block's widest prefix), zeroed past each row's prefix.  A moment is
+    the running row sum at the row's last element: it does not depend on
+    the other rows of the block, and it equals numpy's pairwise sum bit for
+    bit below 8 terms (numpy adds those in order too), so the near-zero
+    skews of short symmetric prefixes round as numpy's do; longer prefixes
+    can differ in the last bits.  The crossings carry the previous nonzero
+    sign over exact zeros and count the pairs of opposite sign.  A row with
+    a non-finite centre (a NaN or an overflow in its prefix) takes the 1-D
+    kernels."""
+    zc, m2, m3, m4 = (np.zeros(p.size) for _ in range(4))
+    for r in np.flatnonzero(~np.isfinite(mean)).tolist():
+        c = v[: p[r]] - mean[r]
+        zc[r] = zero_crossings(c)
+        m2[r], m3[r], m4[r] = (np.mean(c ** k) for k in (2, 3, 4))
+    rows = np.flatnonzero(np.isfinite(mean) & (p >= 2))  # one event: all 0
+    j = 0
+    while j < rows.size:
+        # the longest run of rows from j whose block stays within ZC_BLOCK elements
+        width = p[rows[j:]]
+        k = j + max(1, int(np.searchsorted(np.arange(1, width.size + 1) * width, ZC_BLOCK, "right")))
+        r, w = rows[j:k], int(p[rows[k - 1]])
+        c = v[:w] - mean[r, None]
+        c[np.arange(w) >= p[r, None]] = 0.0
+        at = (np.arange(r.size), p[r] - 1)
+        m2[r] = np.cumsum(c * c, axis=1)[at] / p[r]
+        m3[r] = np.cumsum(c ** 3, axis=1)[at] / p[r]
+        m4[r] = np.cumsum(c ** 4, axis=1)[at] / p[r]
+        s = np.sign(c)
+        if not s.all():
+            # zeros adopt the previous nonzero sign; a leading zero stays 0
+            last = np.where(s != 0, np.arange(w), 0)
+            np.maximum.accumulate(last, axis=1, out=last)
+            s = np.take_along_axis(s, last, axis=1)
+        zc[r] = np.count_nonzero(s[:, 1:] * s[:, :-1] < 0, axis=1)
+        j = k
+    return zc, m2, m3, m4

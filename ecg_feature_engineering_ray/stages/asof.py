@@ -16,11 +16,16 @@ Physical plan (Ray-Data-first): both joins are one
 2. inside the bucket (:func:`asof_merge_table`), loop entity segments
    (vectorized numpy within): ``searchsorted(event_ts, query_ts,
    side='right')`` gives each query its event-prefix length; prefix cumsums
-   / running extrema answer count, sum, mean, min, max, last in O(rows); an
-   optional ``point_fn`` computes an arbitrary feature vector per query
-   from the entity's events and the prefix lengths of all its queries in
-   ONE call, so it can share work across an entity's nested prefixes (the
-   hook the flagship feature pipeline uses).
+   / running extrema (:func:`~..functions.stats.prefix_agg`) answer count,
+   sum, mean, min, max, last in O(rows); an optional ``point_fn`` computes
+   an arbitrary feature vector per query from the entity's events and the
+   prefix lengths of all its queries in ONE call.  The flagship's
+   ``point_fn`` (:func:`~..pipelines.features.pit_feature_matrix`) answers
+   every query from one pass over the entity's events: prefix statistics
+   of the same ``prefix_agg`` kind for most columns and one pair pass for
+   the SampEn columns, so an entity costs about its SampEn pairs plus a
+   vectorized q·n term (the value channel's crossings and moments in 2-D
+   blocks), not q·n numpy calls.
 
 The reference's analog is implicit — every feature row is "features of the
 entity as of end-of-record" (/root/reference/challenge2020/get_model.py:29-48
@@ -38,6 +43,7 @@ import pyarrow as pa
 
 from ray.data import Dataset
 
+from ..functions.stats import prefix_agg
 from .partition import SIDE_COL, co_partitioned_apply, entity_segments
 
 SUPPORTED_AGGS = ("count", "sum", "mean", "min", "max", "last",
@@ -137,7 +143,6 @@ def asof_merge_table(
         out_left_idx.append(q_local + s)
         has = pos > 0
         whas = pos > pos_lo
-        safe_pos = np.maximum(pos - 1, 0)
 
         ev_vals = {c: vals[c][s:e][ev_local] for c in needed}
         for name, (src, fn) in aggs.items():
@@ -150,8 +155,8 @@ def asof_merge_table(
                 res = (pos - pos_lo).astype(np.int64)
                 valid = np.ones_like(has)
             elif fn in ("wsum", "wmean"):
-                cs = np.concatenate(([0.0], np.cumsum(v.astype(np.float64))))
-                res = cs[pos] - cs[pos_lo]
+                hi, lo = prefix_agg(v, np.stack([pos, pos_lo]), "sum")
+                res = hi - lo
                 valid = whas
                 if fn == "wmean":
                     with np.errstate(invalid="ignore", divide="ignore"):
@@ -165,20 +170,10 @@ def asof_merge_table(
                     res[qi] = _range_extrema(
                         v, pos_lo[qi], pos[qi], "min" if fn == "wmin" else "max"
                     )
-            elif fn in ("sum", "mean"):
-                cs = np.concatenate(([0.0], np.cumsum(v.astype(np.float64))))
-                res = cs[pos]
-                if fn == "mean":
-                    with np.errstate(invalid="ignore", divide="ignore"):
-                        res = np.where(has, res / np.maximum(pos, 1), np.nan)
-            elif fn in ("min", "max") and v.size:
-                acc = (np.minimum if fn == "min" else np.maximum).accumulate(v)
-                res = acc[safe_pos]
-            elif fn == "last" and v.size:
-                res = v[safe_pos]
-            elif fn in ("min", "max", "last"):
-                res = np.zeros(pos.size, dtype=v.dtype if v.size else np.float64)
-                valid = np.zeros_like(has)
+            elif fn in ("sum", "mean", "min", "max"):
+                res = prefix_agg(v, pos, fn)
+            elif fn == "last":
+                res = v[np.maximum(pos - 1, 0)] if v.size else np.zeros(pos.size, dtype=v.dtype)
             else:
                 raise ValueError(f"unsupported agg fn {fn!r}")
             agg_out[name].append(res)

@@ -37,6 +37,20 @@ def test_zero_crossings_simple():
     assert stats.zero_crossings(np.array([1.0, -1.0, 1.0, -1.0])) == 3
     assert stats.zero_crossings(np.array([1.0, 2.0, 3.0])) == 0
     assert stats.zero_crossings(np.array([1.0, 0.0, -1.0])) == 1
+    assert stats.zero_crossings(np.array([0.0, -1.0, 1.0])) == 1  # a leading zero is no crossing
+
+
+def test_feature_row_zero_cross_after_exact_mean():
+    """v = [1, 0, 2]: the first value equals the prefix mean, so v − mean
+    starts with an exact zero, which is not a crossing."""
+    from ecg_feature_engineering_ray.pipelines.features import PIT_FEATURE_NAMES, pit_feature_vector
+
+    from .oracle import oracle_feature_row
+
+    ts = np.array([0, 1_000_000, 2_000_000], dtype=np.int64)
+    v = np.array([1.0, 0.0, 2.0])
+    row = dict(zip(PIT_FEATURE_NAMES, pit_feature_vector({"ts": ts, "v": v})))
+    assert row["v_zero_cross"] == oracle_feature_row(ts, v)["v_zero_cross"] == 1
 
 
 def test_zigzag_simple():
