@@ -10,9 +10,10 @@ entity's template pairs (:func:`~..functions.entropy.sampen_hrv_prefixes`).
 The others are read off prefix arrays built in one O(n) pass
 (:func:`~..functions.stats.prefix_agg`): running counts (session breaks,
 |Δu| ≥ 50 ms, turns of the step sign), running extrema, the last break and
-running power sums (sdnn, rmssd); two heaps give the medians, and 2-D
-blocks of queries give the value channel's zero crossings and central
-moments about each prefix's mean.  The only per-query numpy calls are the
+the running mean of squared steps (rmssd); two heaps give the medians, and
+2-D blocks of queries give the value channel's zero crossings and both
+channels' central moments about each prefix's mean (sdnn, v_std, v_skew,
+v_kurt).  The only per-query numpy calls are the
 two prefix means (numpy's own, the centres).  Counts, extrema, medians,
 zero crossings and both means are exact; sdnn, rmssd, v_std, v_skew and
 v_kurt sum in another order than numpy and can differ from a per-prefix
@@ -43,7 +44,7 @@ from ..functions.stats import prefix_agg, zero_crossings
 SESSION_GAP_US = 30_000_000
 PNN_THRESH_MS = 50.0
 SAMPEN_MAX_N = 400  # O(n²) cap — part of the spec, applied in oracle too
-ZC_BLOCK = 1 << 16  # elements in one 2-D value-channel block: bounds its temporaries
+ZC_BLOCK = 1 << 16  # elements in one 2-D block of centred prefixes: bounds its temporaries
 
 PIT_FEATURE_NAMES = [
     # HRV block over u = Δts ms (9 ≙ HRV_features.py feature set)
@@ -102,7 +103,7 @@ def pit_feature_matrix(events: dict[str, np.ndarray], pos, sampen_max_n: int = S
     One pass over the entity answers every query: the columns are read off
     prefix arrays at the distinct prefix lengths (see the module docstring);
     per query there are the two prefix means and one read of the median
-    heaps, and the value channel's row in a 2-D block.
+    heaps, and a column of each channel's 2-D blocks.
     """
     ts = np.asarray(events["ts"], dtype=np.int64)
     v = np.asarray(events["v"], dtype=np.float64)
@@ -127,19 +128,6 @@ def pit_feature_matrix(events: dict[str, np.ndarray], pos, sampen_max_n: int = S
     return out
 
 
-def _second_moment(x: np.ndarray, n: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """The second central moment of every prefix ``x[:n]`` (n ≥ 1) about its
-    ``mean`` (numpy's, per prefix: ``np.std`` centres on that rounded mean,
-    which sets the value of a constant prefix), from running sums of
-    (x − x[0])^k, k = 1, 2, expanded about a = mean − x[0].  x[0] lies in
-    every prefix, so |x − x[0]| is at most the prefix's range and no offset
-    shared by the values cancels in the expansion."""
-    d = x[: n.max()] - x[0]
-    s1, s2 = prefix_agg(np.stack([d, d * d]), n, "sum") / n
-    a = mean - x[0]
-    return np.maximum(s2 - 2 * a * s1 + a * a, 0.0)
-
-
 def _hrv_columns(rows: np.ndarray, ts: np.ndarray, u: np.ndarray, p: np.ndarray) -> None:
     """sdnn … rmssd over the intervals u[:p − 1] of the rows with p ≥ 2."""
     k = p >= 2
@@ -149,10 +137,13 @@ def _hrv_columns(rows: np.ndarray, ts: np.ndarray, u: np.ndarray, p: np.ndarray)
     # numpy's mean, bit for bit: intervals are decimal ms, so a mean often
     # sits on a rounding tie that another summation order would flip
     mean = np.array([u[:m].mean() for m in L.tolist()])
+    m2 = np.zeros(L.size)  # one interval: 0
+    for r, c in _centred_blocks(u, L, mean):
+        m2[r] = np.cumsum(c * c, axis=0)[-1] / L[r]
     span_ms = (ts[L] - ts[0]) / 1000.0
     du = np.diff(u)
     with np.errstate(invalid="ignore", divide="ignore"):
-        rows[k, 1] = np.sqrt(_second_moment(u, L, mean))
+        rows[k, 1] = np.sqrt(m2)
         rows[k, 2] = prefix_agg(u, L, "max")
         rows[k, 3] = prefix_agg(u, L, "min")
         rows[k, 4] = mean
@@ -165,7 +156,20 @@ def _hrv_columns(rows: np.ndarray, ts: np.ndarray, u: np.ndarray, p: np.ndarray)
 def _value_columns(rows: np.ndarray, v: np.ndarray, p: np.ndarray) -> None:
     """v_mean … v_last over v[:p]."""
     mean = np.array([v[:m].mean() for m in p.tolist()])  # numpy's, bit for bit: the centre
-    zc, m2, m3, m4 = _centred_block_stats(v, p, mean)
+    zc, m2, m3, m4 = (np.zeros(p.size) for _ in range(4))  # one event: all 0
+    for r in np.flatnonzero(~np.isfinite(mean)).tolist():  # a NaN or an overflow: 1-D kernels
+        c = v[: p[r]] - mean[r]
+        zc[r] = zero_crossings(c)
+        m2[r], m3[r], m4[r] = (np.mean(c ** k) for k in (2, 3, 4))
+    for r, c in _centred_blocks(v, p, mean):
+        m2[r], m3[r], m4[r] = (np.cumsum(c ** k, axis=0)[-1] / p[r] for k in (2, 3, 4))
+        s = np.sign(c)
+        if not s.all():
+            # zeros adopt the previous nonzero sign; a leading zero stays 0
+            last = np.where(s != 0, np.arange(c.shape[0])[:, None], 0)
+            np.maximum.accumulate(last, axis=0, out=last)
+            s = np.take_along_axis(s, last, axis=0)
+        zc[r] = np.count_nonzero(s[1:] * s[:-1] < 0, axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         rows[:, 10] = mean
         rows[:, 11] = np.sqrt(m2)
@@ -198,12 +202,7 @@ def _prefix_medians(v: np.ndarray, p: np.ndarray) -> np.ndarray:
     one insertion pass over two heaps: ``lo`` holds the lower half negated
     (a max-heap) and ``hi`` the upper half, so the median is lo's top, or
     (a + b) / 2 of both tops for an even length, as numpy computes it.  A
-    NaN makes every prefix that holds it NaN, as in numpy.  With fewer than
-    one prefix per 16 events, ``np.median`` per prefix is cheaper (a
-    one-row :func:`pit_feature_vector` call)."""
-    if 16 * p.size < p[-1]:
-        # few prefixes: numpy's per-prefix partition beats a Python pass over the events
-        return np.array([np.median(v[:m]) for m in p.tolist()])
+    NaN makes every prefix that holds it NaN, as in numpy."""
     out = np.full(p.size, np.nan)
     stop = int(p[-1])
     nan = np.flatnonzero(np.isnan(v[:stop]))
@@ -224,45 +223,28 @@ def _prefix_medians(v: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _centred_block_stats(v: np.ndarray, p: np.ndarray, mean: np.ndarray):
-    """``(zero crossings, m2, m3, m4)`` of each ``v[:m] − c`` for (m, c) in
-    (``p``, ``mean``), ``p`` sorted: ``zero_crossings(v[:m] − c)`` and the
-    central moments ``np.mean((v[:m] − c) ** k)``.
+def _centred_blocks(x: np.ndarray, p: np.ndarray, mean: np.ndarray):
+    """Yield ``(r, c)`` over the rows ``r`` with p ≥ 2 and a finite centre,
+    ``p`` sorted: ``c = x[:w] − mean[r]`` with one column per row, zeroed
+    past the row's prefix, at most ``ZC_BLOCK`` elements (or one column).
 
-    The rows go through 2-D blocks of at most ``ZC_BLOCK`` elements (rows ×
-    the block's widest prefix), zeroed past each row's prefix.  A moment is
-    the running row sum at the row's last element: it does not depend on
-    the other rows of the block, and it equals numpy's pairwise sum bit for
-    bit below 8 terms (numpy adds those in order too), so the near-zero
-    skews of short symmetric prefixes round as numpy's do; longer prefixes
-    can differ in the last bits.  The crossings carry the previous nonzero
-    sign over exact zeros and count the pairs of opposite sign.  A row with
-    a non-finite centre (a NaN or an overflow in its prefix) takes the 1-D
-    kernels."""
-    zc, m2, m3, m4 = (np.zeros(p.size) for _ in range(4))
-    for r in np.flatnonzero(~np.isfinite(mean)).tolist():
-        c = v[: p[r]] - mean[r]
-        zc[r] = zero_crossings(c)
-        m2[r], m3[r], m4[r] = (np.mean(c ** k) for k in (2, 3, 4))
-    rows = np.flatnonzero(np.isfinite(mean) & (p >= 2))  # one event: all 0
+    The last row of ``np.cumsum(c ** k, axis=0)`` over ``p[r]`` is the
+    central moment ``np.mean((x[:m] − mean[r]) ** k)``.  The running sum adds each
+    column in order whatever else the block holds, so a row's moments do
+    not depend on the other queries; that order is numpy's pairwise sum
+    below 8 terms, so the near-zero skews of short symmetric prefixes round
+    as numpy's do, and longer prefixes can differ in the last bits.  Every
+    term is centred on the prefix's own mean, so no offset shared by the
+    values cancels."""
+    rows = np.flatnonzero(np.isfinite(mean) & (p >= 2))
     j = 0
     while j < rows.size:
         # the longest run of rows from j whose block stays within ZC_BLOCK elements
-        width = p[rows[j:]]
+        width = p[rows[j : j + ZC_BLOCK]]
         k = j + max(1, int(np.searchsorted(np.arange(1, width.size + 1) * width, ZC_BLOCK, "right")))
-        r, w = rows[j:k], int(p[rows[k - 1]])
-        c = v[:w] - mean[r, None]
-        c[np.arange(w) >= p[r, None]] = 0.0
-        at = (np.arange(r.size), p[r] - 1)
-        m2[r] = np.cumsum(c * c, axis=1)[at] / p[r]
-        m3[r] = np.cumsum(c ** 3, axis=1)[at] / p[r]
-        m4[r] = np.cumsum(c ** 4, axis=1)[at] / p[r]
-        s = np.sign(c)
-        if not s.all():
-            # zeros adopt the previous nonzero sign; a leading zero stays 0
-            last = np.where(s != 0, np.arange(w), 0)
-            np.maximum.accumulate(last, axis=1, out=last)
-            s = np.take_along_axis(s, last, axis=1)
-        zc[r] = np.count_nonzero(s[:, 1:] * s[:, :-1] < 0, axis=1)
+        r = rows[j:k]
+        w = int(p[r[-1]])
+        c = x[:w, None] - mean[r]
+        c[np.arange(w)[:, None] >= p[r]] = 0.0
+        yield r, c
         j = k
-    return zc, m2, m3, m4

@@ -63,14 +63,15 @@ def compute_bucket_plan(
     (:func:`~..functions.entropy.sampen_hrv_prefixes`), O(min(n, cap)²); the
     other feature columns are prefix statistics from one O(n) pass, plus
     per-query terms that each touch the query's prefix (SampEn's per-length
-    r, the zero-crossing block), O(q·n); the sort and the exchange move its
-    n rows.  So an entity with n events and q queries (0 when it has none)
-    costs min(n, cap)² + 4·q·n + n, priced in int64 numpy, and
+    r, the blocks of centred prefixes), O(q·n); the sort and the exchange
+    move its n rows.  So an entity with n events and q queries (0 when it has none)
+    costs min(n, cap)² + 3·q·n + n, priced in int64 numpy, and
     :func:`plan_buckets` LPT-places every entity that costs a quarter of a
-    bucket's share or more.  The 4 is fitted: a least-squares sweep of
+    bucket's share or more.  The 3 is fitted: a least-squares sweep of
     :func:`~.features.pit_feature_matrix` over n ∈ {50 … 1600} and
-    q ∈ {1 … 1600} at cap 400 priced a q·n unit at 4.0–4.2 SampEn pairs
-    (when each query recomputed its columns, the same sweep gave 15).
+    q ∈ {1 … 1600} at cap 400 priced a q·n unit at 2.7–3.3 SampEn pairs
+    over three runs (when each query recomputed its columns, the same sweep
+    gave 15).
 
     That is the engine's only skew mechanism (query-split salting repeated
     the shared pair pass once per salt group, and went).  An entity heavier
@@ -86,7 +87,7 @@ def compute_bucket_plan(
     keys, n = ev.column("image_id"), ev.column("n").to_numpy()
     at = pc.index_in(keys, value_set=q.column("image_id"))
     qn = q.column("n").take(at).fill_null(0).to_numpy()
-    costs = np.minimum(n, sampen_max_n) ** 2 + 4 * qn * n + n
+    costs = np.minimum(n, sampen_max_n) ** 2 + 3 * qn * n + n
     return {"plan": plan_buckets(keys, costs, num_buckets)}
 
 

@@ -24,7 +24,7 @@ Physical plan (Ray-Data-first): both joins are one
    every query from one pass over the entity's events: prefix statistics
    of the same ``prefix_agg`` kind for most columns and one pair pass for
    the SampEn columns, so an entity costs about its SampEn pairs plus a
-   vectorized q·n term (the value channel's crossings and moments in 2-D
+   vectorized q·n term (zero crossings and central moments in 2-D
    blocks), not q·n numpy calls.
 
 The reference's analog is implicit — every feature row is "features of the

@@ -59,6 +59,19 @@ def test_matrix_equals_per_query_reference(v, gap, nan_at, pos, data):
     _check(ts, v, pos)
 
 
+def test_sdnn_long_entity_after_a_gap():
+    """A 45 s first interval among 10⁵ intervals of ~250 ms: the prefix's
+    second moment is about 1/n of its mean square about u[0], so moments
+    from running sums about u[0] lose ~n^1.5 ulp (1.5e-9 relative here);
+    centred on each prefix's mean they stay within the gate."""
+    rng = np.random.default_rng(1)
+    gap = rng.integers(240_000, 260_000, size=100_000)
+    gap[0] = 45_000_000
+    ts = 1_700_000_000_000_000 + np.concatenate(([0], np.cumsum(gap)))
+    v = rng.normal(size=ts.size)
+    _check(ts, v, np.array([2, 3, 10_000, 50_000, 100_000, 100_001]))
+
+
 def test_zero_crossing_blocks(monkeypatch):
     """Tiny 2-D blocks (one row, or a few) give the counts of one big block."""
     rng = np.random.default_rng(3)
