@@ -40,6 +40,15 @@ def bucket_of_ints(keys: np.ndarray, num_buckets: int) -> np.ndarray:
     return (splitmix64(keys) % _U64(num_buckets)).astype(np.int32)
 
 
+def popcount64(x: np.ndarray) -> np.ndarray:
+    """Vectorized 64-bit popcount (SWAR) — numpy<2 has no bitwise_count."""
+    x = x.astype(_U64, copy=True)
+    x -= (x >> _U64(1)) & _U64(0x5555555555555555)
+    x = (x & _U64(0x3333333333333333)) + ((x >> _U64(2)) & _U64(0x3333333333333333))
+    x = (x + (x >> _U64(4))) & _U64(0x0F0F0F0F0F0F0F0F)
+    return ((x * _U64(0x0101010101010101)) >> _U64(56)).astype(np.int64)
+
+
 def md5_hex(s: str) -> str:
     return hashlib.md5(s.encode("utf-8")).hexdigest()
 

@@ -143,10 +143,6 @@ def simhash64_batch(texts: "list[str]") -> np.ndarray:
     return vals.view(np.int64)
 
 
-def hamming64(a: int, b: int) -> int:
-    return bin((a ^ b) & ((1 << 64) - 1)).count("1")
-
-
 def char_ngrams(text: str, n: int = 5) -> set[str]:
     """Character shingles (n-gram Jaccard dedup unit)."""
     if len(text) < n:

@@ -26,7 +26,7 @@ import ray
 import ray.data
 
 from ..functions import text as T
-from ..functions.hashing import md5_keys
+from ..functions.hashing import md5_keys, popcount64
 from ..functions.stats import percentiles
 from ..sources.readers import read_table
 from ..stages.asof import asof_self_join
@@ -1189,15 +1189,6 @@ def knn_topk(sf_dir: str, k: int = 5):
 
     partials = ds.map_batches(topk_partial, batch_format="pyarrow", zero_copy_batch=True)
     return _topk_rank_merge(partials, k)
-
-
-def _popcount64(x: np.ndarray) -> np.ndarray:
-    """Vectorized 64-bit popcount (SWAR) — numpy<2 has no bitwise_count."""
-    x = x.astype(np.uint64, copy=True)
-    x -= (x >> np.uint64(1)) & np.uint64(0x5555555555555555)
-    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
 
 
 def _band_pairs(emitted, key: str, id_col: str, pair_fn, max_bucket: int, advice: str):
@@ -3182,7 +3173,7 @@ def simhash_near_dups(sf_dir: str, max_hamming: int = 3, max_bucket: int = 4096)
 
     def hamming_pairs(tbl: pa.Table, ia: np.ndarray, ib: np.ndarray) -> pa.Table:
         sh = np.asarray(tbl.column("simhash").combine_chunks())
-        ham = _popcount64(sh[ia] ^ sh[ib])
+        ham = popcount64(sh[ia] ^ sh[ib])
         m = ham <= max_hamming
         return pa.table({**_id_pairs(tbl, "doc_id", ia[m], ib[m]), "hamming": pa.array(ham[m])})
 
@@ -5363,7 +5354,7 @@ def phash_near_dups(sf_dir: str):
 
     def hamming_pairs(tbl: pa.Table, ia: np.ndarray, ib: np.ndarray) -> pa.Table:
         ph = np.asarray(tbl.column("phash").combine_chunks())
-        d = _popcount64(ph[ia] ^ ph[ib])
+        d = popcount64(ph[ia] ^ ph[ib])
         keep = d <= _PHASH_T
         ids = tbl.column("image_id").combine_chunks()
         return pa.table({"id_a": ids.take(ia[keep]).cast(pa.string()),

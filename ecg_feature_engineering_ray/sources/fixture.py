@@ -29,7 +29,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..functions.codec import encode_image, mean_luminance, phash64
+from ..functions.codec import CHUNK_BYTES, ahash64, encode_image
 from ..functions.hashing import md5_u64
 
 LABELS = ["AF", "I-AVB", "LBBB", "Normal", "PAC", "PVC", "RBBB", "STD", "STE"]
@@ -78,11 +78,12 @@ def generate_entity_rows(image_id: str, n_events: int, seed: int,
     gaps_ms[0] = rng.uniform(0, 1000)
     ts = BASE_TS_US + np.cumsum(gaps_ms * 1000.0).astype(np.int64)
 
-    blobs, phashes = [], []
-    for k in range(n_events):
-        px = _make_pixels(rng, dim, dim)
-        blobs.append(encode_image(px, fmt))
-        phashes.append(phash64(px))
+    blobs, phashes = [], np.empty(n_events, dtype=np.int64)
+    per = max(1, CHUNK_BYTES // (dim * dim * 3))  # images hashed per call
+    for start in range(0, n_events, per):
+        px = np.stack([_make_pixels(rng, dim, dim) for _ in range(min(per, n_events - start))])
+        blobs += [encode_image(p, fmt) for p in px]
+        phashes[start: start + len(px)] = ahash64(px)
     return pa.table(
         {
             "image_id": pa.array([image_id] * n_events, pa.string()),

@@ -21,6 +21,15 @@ channels here so the image payload never enters a shuffle (SURVEY.md §7.4):
 Rows failing decode are dropped; the dropped count is rows in minus rows
 out (reference analog: error-index accumulators,
 preprocess-300hz.py:188-288).
+
+A batch is decoded as arrays.  Only the per-image work runs per row: the
+header, the inflate, the length check and (with ``verify_roundtrip``) the
+re-encode check.  The inflated images are then grouped by shape, joined into
+one ``(k, h, w, 3)`` view per group, and reduced with one call for the
+derived scalars and one aHash call per group (``codec.image_scalars``,
+``codec.ahash64``), in pieces of about ``CHUNK_BYTES`` so a batch of large
+images holds little at once.  On small images numpy's per-call cost was as large as the inflate,
+which is now most of the kernel.
 """
 
 from __future__ import annotations
@@ -33,8 +42,16 @@ import pyarrow as pa
 
 from ray.data import Dataset
 
-from ..functions.codec import decode_image, derive_scalars, encode_image, phash64, psnr
-from ..functions.text import hamming64
+from ..functions.codec import (
+    CHUNK_BYTES,
+    ahash64,
+    decode_image,
+    encode_image,
+    image_scalars,
+    inflate_image,
+    psnr,
+)
+from ..functions.hashing import popcount64
 
 PSNR_MIN_DB = 40.0
 PHASH_MAX_HAMMING_LOSSY = 6  # aHash bits near the mean can flip under quantization
@@ -67,7 +84,10 @@ def decode_batch(
     Per-row checks (input_hint invariants): container decodes; lossless rows
     round-trip bitwise / lossy rows within PSNR bound; the stored ``phash``
     matches the aHash recomputed from the decoded pixels (content-integrity
-    check — a corrupted payload with an intact header fails here).
+    check — a corrupted payload with an intact header fails here).  A row
+    that fails the format or round-trip check keeps ``psnr_ok`` False and is
+    not hashed; a row whose aHash cannot be taken (an image under 8×8 px) is
+    dropped.
 
     ``verify_roundtrip`` re-encodes to prove CANONICAL encoding — an extra
     invariant beyond corruption detection (zlib's adler32 already fails
@@ -78,31 +98,68 @@ def decode_batch(
     """
     blobs = _blob_views(batch.column("bytes"))
     fmts = batch.column("fmt").to_pylist()
-    stored_ph = np.asarray(batch.column("phash").combine_chunks())
     n = batch.num_rows
-    v, vr, vg, vb = (np.empty(n) for _ in range(4))
+    scalars = np.empty((n, 4))
     ok = np.zeros(n, dtype=bool)
+    keep = np.zeros(n, dtype=bool)
+    hashed = np.zeros(n, dtype=bool)
+    ph = np.zeros(n, dtype=np.int64)
+    groups: dict[tuple[int, int], tuple[list[int], list[bytes]]] = {}
+
+    def flush() -> None:
+        # one join, one scalar pass and one aHash pass per image shape
+        for (h, w), (rows, raws) in groups.items():
+            idx = np.array(rows)
+            imgs = np.frombuffer(b"".join(raws), dtype=np.uint8).reshape(len(rows), h, w, 3)
+            scalars[idx] = image_scalars(imgs)
+            keep[idx] = True
+            need = ok[idx]  # a row that failed its checks is not hashed
+            if not verify_phash or not need.any():
+                continue
+            try:
+                ph[idx[need]] = ahash64(imgs if need.all() else imgs[need])
+                hashed[idx[need]] = True
+            except ValueError:  # too small for the 8×8 block grid
+                keep[idx[need]] = False
+        groups.clear()
+
+    pending = 0
     for i, (blob, fmt) in enumerate(zip(blobs, fmts)):
         try:
-            px, dec_fmt = decode_image(blob)
-            v[i], vr[i], vg[i], vb[i] = derive_scalars(px)
-            if not verify_roundtrip:
-                ok[i] = dec_fmt == fmt
-            elif fmt == "png":
+            raw, h, w, dec_fmt = inflate_image(blob)
+        except ValueError:
+            continue
+        if h * w == 0:  # an empty image has no mean
+            continue
+        if not verify_roundtrip:
+            ok[i] = dec_fmt == fmt
+        else:
+            px = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
+            if fmt == "png":
                 # lossless: re-encode must be byte-identical
                 ok[i] = dec_fmt == "png" and encode_image(px, "png") == blob
             else:
                 # lossy: decode(encode(decode)) within PSNR bound
                 px2, _ = decode_image(encode_image(px, "jpeg"))
                 ok[i] = dec_fmt == "jpeg" and psnr(px, px2) >= psnr_min_db
-            if ok[i] and verify_phash:
-                ph = phash64(px)
-                if fmt == "png":
-                    ok[i] = ph == int(stored_ph[i])
-                else:  # lossy: decoded pixels may flip near-threshold bits
-                    ok[i] = hamming64(ph, int(stored_ph[i])) <= PHASH_MAX_HAMMING_LOSSY
-        except Exception:
-            v[i] = np.nan
+        rows, raws = groups.setdefault((h, w), ([], []))
+        rows.append(i)
+        raws.append(raw)
+        pending += len(raw)
+        if pending >= CHUNK_BYTES:
+            flush()
+            pending = 0
+    flush()
+
+    if hashed.any():
+        stored = batch.column("phash").combine_chunks()
+        keep &= ~hashed | np.asarray(stored.is_valid())  # no stored hash to check
+        stored_ph = np.asarray(stored.fill_null(0))
+        lossless = np.array([f == "png" for f in fmts], dtype=bool)
+        # lossy: decoded pixels may flip near-threshold bits
+        match = np.where(lossless, ph == stored_ph,
+                         popcount64(ph ^ stored_ph) <= PHASH_MAX_HAMMING_LOSSY)
+        ok &= ~hashed | match
     out = pa.table(
         {
             "image_id": batch.column("image_id"),
@@ -112,14 +169,13 @@ def decode_batch(
             "fmt": batch.column("fmt"),
             "w": batch.column("w"),
             "h": batch.column("h"),
-            "v": pa.array(v, pa.float64()),
-            "v_r": pa.array(vr, pa.float64()),
-            "v_g": pa.array(vg, pa.float64()),
-            "v_b": pa.array(vb, pa.float64()),
+            "v": pa.array(scalars[:, 0], pa.float64()),
+            "v_r": pa.array(scalars[:, 1], pa.float64()),
+            "v_g": pa.array(scalars[:, 2], pa.float64()),
+            "v_b": pa.array(scalars[:, 3], pa.float64()),
             "psnr_ok": pa.array(ok, pa.bool_()),
         }
     )
-    keep = ~np.isnan(v)
     return out if keep.all() else out.filter(pa.array(keep))
 
 

@@ -5,8 +5,8 @@ import numpy as np
 
 from ecg_feature_engineering_ray.functions.codec import (
     decode_image,
+    derive_scalars,
     encode_image,
-    mean_luminance,
     phash64,
     psnr,
     resize_nearest,
@@ -46,7 +46,7 @@ def test_decode_is_deterministic():
 def test_phash_and_luminance_stable():
     px = _img(3)
     assert phash64(px) == phash64(px.copy())
-    assert 0.0 <= mean_luminance(px) <= 1.0
+    assert 0.0 <= derive_scalars(px)[0] <= 1.0
 
 
 def test_resize_shapes():
@@ -56,14 +56,11 @@ def test_resize_shapes():
 
 
 def test_fast_kernels_bitwise_equal_reference_forms():
-    """The integer-sum kernels (derive_scalars, channel_means, phash64's
-    uint16 grayscale) must be BITWISE equal to the float-mean reference
-    forms they replaced — stored fixture phashes and 6-dp-rounded oracle
-    hashes both depend on exact values.  Covers odd shapes (non-multiple-
-    of-8, single-pixel) and constant images (exact tie in the aHash
-    threshold)."""
-    from ecg_feature_engineering_ray.functions.codec import channel_means, derive_scalars
-
+    """The integer-sum kernels (derive_scalars, phash64's integer block
+    sums) must be BITWISE equal to the float-mean reference forms they
+    replaced — stored fixture phashes and 6-dp-rounded oracle hashes both
+    depend on exact values.  Covers odd shapes (non-multiple-of-8,
+    single-pixel) and constant images (exact tie in the aHash threshold)."""
     shapes = [(48, 64), (32, 32), (128, 128), (33, 57), (8, 8), (1, 1), (7, 129)]
     for seed, (h, w) in enumerate(shapes):
         px = _img(seed, h, w)
@@ -71,7 +68,6 @@ def test_fast_kernels_bitwise_equal_reference_forms():
         ref_v = float(px.mean() / 255.0)
         m = px.mean(axis=(0, 1), dtype=np.float64) / 255.0
         ref_ch = (float(m[0]), float(m[1]), float(m[2]))
-        assert channel_means(px) == ref_ch
         assert derive_scalars(px) == (ref_v, *ref_ch)
         if h >= 8 and w >= 8:  # aHash needs a full 8×8 block grid
             g = px.mean(axis=2, dtype=np.float64)

@@ -470,12 +470,12 @@ def test_phash_popcount_and_banding_complete():
     """SWAR popcount is exact, and 4×16-bit banding is candidate-complete
     for Hamming ≤ 3 (pigeonhole): verified against brute force on random
     64-bit hashes with planted near pairs."""
-    from ecg_feature_engineering_ray.pipelines.queries import _popcount64
+    from ecg_feature_engineering_ray.functions.hashing import popcount64
 
     rng = np.random.default_rng(5)
     x = rng.integers(0, 2**63, 2000, dtype=np.int64).astype(np.uint64)
     exp = np.array([bin(int(v)).count("1") for v in x[:200]])
-    assert (_popcount64(x[:200]) == exp).all()
+    assert (popcount64(x[:200]) == exp).all()
 
     base = rng.integers(0, 2**63, 40, dtype=np.int64).astype(np.uint64)
     flips = [np.uint64(0), np.uint64(1), np.uint64(1) << np.uint64(17) | np.uint64(1) << np.uint64(40)]
@@ -483,7 +483,7 @@ def test_phash_popcount_and_banding_complete():
     T = 2
     n = len(hashes)
     iu, ju = np.triu_indices(n, k=1)
-    d = _popcount64(hashes[iu] ^ hashes[ju])
+    d = popcount64(hashes[iu] ^ hashes[ju])
     close = set(zip(iu[d <= T].tolist(), ju[d <= T].tolist()))
     # banded candidates: pairs sharing at least one 16-bit band
     cand = set()
